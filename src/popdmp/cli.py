@@ -30,10 +30,12 @@ import yaml
 
 from .catalog import BUILTIN_MODELS, build_builtin, table_model
 from .filtering import RegularizationKernel, filter_trajectory
-from .mdp import ControlFamily, StageQuadrature, switching_family
+from .mdp import ControlFamily, StageQuadrature, switch_control, switching_family
 from .model import ActionMixture, PopdmpModel, RelaxedControl
 from .sim import cross_check, default_horizon, evaluate_policy_mc, simulate_trajectory
 from .solver import (
+    BellmanSweep,
+    _fmt,
     build_simplex_grid,
     extract_policy,
     sigma_sweep,
@@ -47,10 +49,6 @@ __all__ = ["main", "load_config", "RunConfig", "format_control", "parse_control"
 
 class ConfigError(click.ClickException):
     exit_code = 1
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.9g}"
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +300,20 @@ def _apply_overrides(cfg: RunConfig, grid_k, tol, sigma, seed, workers) -> RunCo
 
 
 def _solve(cfg: RunConfig):
+    """Build the Bellman operator once and iterate it to the fixed point."""
     model = cfg.build_model()
     family = cfg.build_family()
     grid = build_simplex_grid(model.n_states, int(cfg.resolved["solver"]["grid_k"]))
+    sweep = BellmanSweep(model, grid, family, kernel=cfg.kernel(), stage=cfg.stage(model))
     vg, report = value_iteration(
         model,
         grid,
         family,
-        kernel=cfg.kernel(),
         tol=float(cfg.resolved["solver"]["tol"]),
         max_iter=int(cfg.resolved["solver"]["max_iter"]),
-        stage=cfg.stage(model),
+        sweep=sweep,
     )
-    return model, family, grid, vg, report
+    return model, family, sweep, vg, report
 
 
 def _write_policy_csv(vg, family, path) -> None:
@@ -367,7 +366,7 @@ def _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers):
 def solve(config_path, out_dir, grid_k, tol, sigma, seed, workers):
     """Run value iteration and write value.csv, policy.csv, report.csv."""
     cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
-    model, family, grid, vg, report = _solve(cfg)
+    model, family, _, vg, report = _solve(cfg)
     write_value_csv(vg, out / "value.csv")
     _write_policy_csv(vg, family, out / "policy.csv")
     write_report_csv(report, out / "report.csv")
@@ -395,9 +394,7 @@ def simulate(config_path, out_dir, grid_k, tol, sigma, seed, workers):
     elif pol_cfg["kind"] == "constant":
         policy = RelaxedControl.constant(float(pol_cfg["a"]))
     elif pol_cfg["kind"] == "switch":
-        policy = RelaxedControl.from_pieces(
-            [(0.0, float(pol_cfg["a"])), (float(pol_cfg["tau"]), 0.0)]
-        )
+        policy = switch_control(float(pol_cfg["a"]), float(pol_cfg["tau"]))
     else:
         raise ConfigError("sim.policy.kind must be solved, constant or switch")
     x0 = float(sim_cfg["x0"])
@@ -464,7 +461,7 @@ def crosscheck(config_path, out_dir, grid_k, tol, sigma, seed, workers):
     """Solve, then compare Monte Carlo cost of the solved policy against the
     filtered-MDP value; write zscores.csv.  Exits nonzero if any |z| >= 4."""
     cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
-    model, family, grid, vg, report = _solve(cfg)
+    model, family, sweep, vg, report = _solve(cfg)
     policy = extract_policy(vg, family)
     sim_cfg = cfg.resolved["sim"]
     report_cc = cross_check(
@@ -474,9 +471,8 @@ def crosscheck(config_path, out_dir, grid_k, tol, sigma, seed, workers):
         n_traj=int(sim_cfg["n_traj"]),
         seed=int(sim_cfg["seed"]),
         horizon=cfg.horizon(model),
-        stage=cfg.stage(model),
-        kernel=cfg.kernel(),
         workers=int(sim_cfg.get("workers", 1)),
+        sweep=sweep,
     )
     with open(out / "zscores.csv", "w", newline="") as fh:
         w = csv.writer(fh)

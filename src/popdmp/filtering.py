@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PopdmpModel, RelaxedControl, flow_path, lambda_path
+from .model import (ControlPath, PopdmpModel, RelaxedControl, _lambda_paths, _state_number,
+                    simpson_weights)
 
 __all__ = [
     "Belief",
@@ -25,6 +26,7 @@ __all__ = [
     "filter_trajectory",
 ]
 
+# Bayes normalizers below this floor count as zero likelihood
 _DENOM_FLOOR = 1e-300
 
 
@@ -109,15 +111,6 @@ class RegularizationKernel:
 # joint density
 
 
-def _state_idx(model: PopdmpModel, y) -> int:
-    if isinstance(y, (int, np.integer)):
-        i = int(y)
-        if not (0 <= i < model.n_states):
-            raise IndexError(f"state index {i} out of range")
-        return i
-    return model.state_index(y)
-
-
 def _qtilde_matrices(model: PopdmpModel, control: RelaxedControl, times: np.ndarray,
                      x=None) -> np.ndarray:
     """q-tilde evaluated on a time grid: out[k, i, j] = q(t_k, y_j, x | y_i, r).
@@ -125,23 +118,9 @@ def _qtilde_matrices(model: PopdmpModel, control: RelaxedControl, times: np.ndar
     With ``x=None`` the observation-density factor is omitted.
     """
     ts = np.asarray(times, dtype=float)
-    d = model.n_states
-    out = np.empty((ts.size, d, d))
-    piece_of = np.array([control.piece_index_at(t) for t in ts])
-    for i, y in enumerate(model.post_jump_states):
-        lam_int = lambda_path(model, y, control, ts)
-        egamma = np.exp(-model.discount * ts - lam_int)
-        pos = flow_path(model, y, control, ts)
-        hk = np.zeros((ts.size, d))
-        for p in np.unique(piece_of):
-            sel = piece_of == p
-            mix = control.pieces[p]
-            for a, w in zip(mix.actions, mix.weights):
-                av = np.asarray(a, dtype=float)
-                lam = np.asarray(model.hazard(pos[sel], av), dtype=float)
-                rows = np.asarray(model.jump_kernel(pos[sel], av), dtype=float)
-                hk[sel] += w * lam[:, None] * rows
-        out[:, i, :] = egamma[:, None] * hk
+    egamma = np.exp(-model.discount * ts - _lambda_paths(model, model.post_jump_states, control, ts))
+    hk = ControlPath.from_post_jump_states(model, control, ts).kernel_rows
+    out = np.ascontiguousarray((egamma[:, :, None] * hk).transpose(1, 0, 2))
     if x is not None:
         noisew = np.array(
             [model.noise.density_at(np.asarray(x, dtype=float) - y) for y in model.post_jump_states]
@@ -155,8 +134,8 @@ def q_tilde(model: PopdmpModel, s: float, y_next, x, y, control: RelaxedControl)
     discount absorbed; zero whenever x - y_next is not a noise offset."""
     if s < 0:
         raise ValueError("q_tilde requires s >= 0")
-    i = _state_idx(model, y)
-    j = _state_idx(model, y_next)
+    i = _state_number(model, y)
+    j = _state_number(model, y_next)
     m = _qtilde_matrices(model, control, np.array([float(s)]), x=x)[0]
     return float(m[i, j])
 
@@ -165,13 +144,23 @@ def q_tilde_sx(model: PopdmpModel, s: float, x, y, control: RelaxedControl) -> f
     """Marginal density over next states: sum_j q_tilde(s, y_j, x | y, r)."""
     if s < 0:
         raise ValueError("q_tilde_sx requires s >= 0")
-    i = _state_idx(model, y)
+    i = _state_number(model, y)
     m = _qtilde_matrices(model, control, np.array([float(s)]), x=x)[0]
     return float(m[i, :].sum())
 
 
 # ---------------------------------------------------------------------------
 # Bayes updates
+
+
+def _posterior(numer: np.ndarray, s: float, x) -> Belief:
+    """Normalize an unnormalized posterior; zero likelihood raises."""
+    denom = numer.sum()
+    if denom < _DENOM_FLOOR:
+        raise ImpossibleObservationError(
+            f"observation {x!r} at s={s} has zero likelihood under the current belief"
+        )
+    return Belief(numer / denom)
 
 
 def update(model: PopdmpModel, rho, control: RelaxedControl, s: float, x) -> Belief:
@@ -181,13 +170,7 @@ def update(model: PopdmpModel, rho, control: RelaxedControl, s: float, x) -> Bel
         raise ValueError("update requires s >= 0")
     probs = as_belief(rho, model.n_states).probs
     m = _qtilde_matrices(model, control, np.array([float(s)]), x=x)[0]
-    numer = probs @ m
-    denom = numer.sum()
-    if denom < _DENOM_FLOOR:
-        raise ImpossibleObservationError(
-            f"observation {x!r} at s={s} has zero likelihood under the current belief"
-        )
-    return Belief(numer / denom)
+    return _posterior(probs @ m, s, x)
 
 
 def update_regularized(model: PopdmpModel, rho, control: RelaxedControl, s: float, x,
@@ -206,19 +189,9 @@ def update_regularized(model: PopdmpModel, rho, control: RelaxedControl, s: floa
     step = min(kernel.sigma / 8.0, 0.02)
     npan = max(8, 2 * math.ceil((hi - lo) / (2.0 * step)))
     nodes = np.linspace(lo, hi, npan + 1)
-    ws = np.full(npan + 1, 2.0)
-    ws[1::2] = 4.0
-    ws[0] = ws[-1] = 1.0
-    ws *= (hi - lo) / npan / 3.0
-    coeff = ws * kernel.density(s - nodes)
+    coeff = simpson_weights(npan, (hi - lo) / npan) * kernel.density(s - nodes)
     mats = _qtilde_matrices(model, control, nodes, x=x)
-    numer = np.einsum("k,i,kij->j", coeff, probs, mats)
-    denom = numer.sum()
-    if denom < _DENOM_FLOOR:
-        raise ImpossibleObservationError(
-            f"observation {x!r} at s={s} has zero likelihood under the current belief"
-        )
-    return Belief(numer / denom)
+    return _posterior(np.einsum("k,i,kij->j", coeff, probs, mats), s, x)
 
 
 def filter_trajectory(model: PopdmpModel, x0, events,

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .filtering import RegularizationKernel, as_belief
+from .filtering import _DENOM_FLOOR, RegularizationKernel, as_belief
 from .grid import ValueGrid, interpolate_batch
-from .model import PopdmpModel, RelaxedControl, flow_path
+from .model import ControlPath, PopdmpModel, RelaxedControl, _state_number, simpson_weights
 
 __all__ = [
     "StageQuadrature",
@@ -42,7 +42,6 @@ __all__ = [
 
 DEFAULT_STAGE_STEP = 0.01
 DEFAULT_TAIL_TOL = 1e-8
-_DENOM_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,7 @@ class StageQuadrature:
     def times_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
         npan = max(2, 2 * math.ceil(self.t_max / (2.0 * self.h)))
         ts = np.linspace(0.0, self.t_max, npan + 1)
-        w = np.full(npan + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= self.t_max / npan / 3.0
-        return ts, w
+        return ts, simpson_weights(npan, self.t_max / npan)
 
 
 @dataclass(frozen=True)
@@ -154,40 +149,20 @@ def build_tables(model: PopdmpModel, control: RelaxedControl,
                  stage: StageQuadrature) -> CandidateTables:
     model.check_control(control)
     ts, W = stage.times_and_weights()
-    n = ts.size
-    d = model.n_states
-    D = model.space_dim
-    piece_of = np.array([control.piece_index_at(t) for t in ts])
-    pos = np.empty((d, n, D))
-    for i, y in enumerate(model.post_jump_states):
-        pos[i] = flow_path(model, y, control, ts)
-    lam_mix = np.zeros((d, n))
-    cost_mix = np.zeros((d, n))
-    kmix = np.zeros((d, n, d))
-    for p in np.unique(piece_of):
-        sel = np.flatnonzero(piece_of == p)
-        mix = control.pieces[p]
-        flat = pos[:, sel, :].reshape(-1, D)
-        for a, w in zip(mix.actions, mix.weights):
-            av = np.asarray(a, dtype=float)
-            lam = np.asarray(model.hazard(flat, av), dtype=float).reshape(d, sel.size)
-            rows = np.asarray(model.jump_kernel(flat, av), dtype=float).reshape(d, sel.size, d)
-            cst = np.asarray(model.cost_rate(flat, av), dtype=float).reshape(d, sel.size)
-            lam_mix[:, sel] += w * lam
-            cost_mix[:, sel] += w * cst
-            kmix[:, sel, :] += w * lam[:, :, None] * rows
+    path = ControlPath.from_post_jump_states(model, control, ts)
+    lam_mix, cost_mix = path.hazard, path.cost
     lam_int = cumulative_simpson(lam_mix, dx=float(ts[1] - ts[0]), axis=1, initial=0.0)
     egamma = np.exp(-model.discount * ts[None, :] - lam_int)
     if not np.all(np.isfinite(egamma)):
         raise FloatingPointError("non-finite discount factors in stage tables")
-    dmat = np.ascontiguousarray((egamma[:, :, None] * kmix).transpose(0, 2, 1))
+    dmat = np.ascontiguousarray((egamma[:, :, None] * path.kernel_rows).transpose(0, 2, 1))
     g = (W[None, :] * egamma * cost_mix).sum(axis=1)
     return CandidateTables(
         control=control,
         times=ts,
         weights=W,
         step=float(ts[1] - ts[0]),
-        positions=pos,
+        positions=path.points,
         lam_mix=lam_mix,
         cost_mix=cost_mix,
         egamma=egamma,
@@ -204,12 +179,8 @@ def _smooth_tensor(dmat: np.ndarray, step: float, kernel: RegularizationKernel) 
     treated as zero (its mass there is below the tail tolerance).
     """
     w = max(1, math.ceil(kernel.halfwidth / step))
-    pattern = np.full(2 * w + 1, 2.0)
-    pattern[1::2] = 4.0
-    pattern[0] = pattern[-1] = 1.0
-    pattern *= step / 3.0
     offsets = np.arange(-w, w + 1)
-    sw = pattern * kernel.density(offsets * step)
+    sw = simpson_weights(2 * w, step) * kernel.density(offsets * step)
     n = dmat.shape[-1]
     out = np.zeros_like(dmat)
     for m, c in zip(offsets, sw):
@@ -253,15 +224,6 @@ def _resolve_ctx(model, stage, ctx) -> StageContext:
     if ctx is not None:
         return ctx
     return StageContext(model, stage)
-
-
-def _state_number(model: PopdmpModel, y) -> int:
-    if isinstance(y, (int, np.integer)):
-        i = int(y)
-        if not (0 <= i < model.n_states):
-            raise IndexError(f"state index {i} out of range")
-        return i
-    return model.state_index(y)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ mixtures over a compact action box.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +51,10 @@ class InvalidControlError(ValueError):
 
 class ModelValidationError(ValueError):
     """Model data violates a declared bound or normalization."""
+
+
+# slack on the declared hazard and cost bounds, at validation and at run time
+_BOUND_TOL = 1e-9
 
 
 def _as_vector(x) -> np.ndarray:
@@ -138,8 +142,9 @@ class RelaxedControl:
         )
         return RelaxedControl(pieces=mixes, breaks=tuple(starts[1:]))
 
-    def piece_index_at(self, t: float) -> int:
-        return bisect.bisect_right(self.breaks, t)
+    def piece_index_at(self, t):
+        """Index of the piece active at time(s) t; accepts scalars and arrays."""
+        return np.searchsorted(self.breaks, t, side="right")
 
     def mixture_at(self, t: float) -> ActionMixture:
         return self.pieces[self.piece_index_at(t)]
@@ -352,10 +357,10 @@ class PopdmpModel:
         lo, hi = self.hazard_bounds
         for a in self._sample_actions():
             lam = np.asarray(self.hazard(pos, a), dtype=float)
-            if np.any(lam < lo - 1e-9) or np.any(lam > hi + 1e-9):
+            if np.any(lam < lo - _BOUND_TOL) or np.any(lam > hi + _BOUND_TOL):
                 raise ModelValidationError("hazard leaves its declared bounds on the test grid")
             c = np.asarray(self.cost_rate(pos, a), dtype=float)
-            if np.any(c < -1e-12) or np.any(c > self.cost_max + 1e-9):
+            if np.any(c < -1e-12) or np.any(c > self.cost_max + _BOUND_TOL):
                 raise ModelValidationError("cost rate leaves [0, cost_max] on the test grid")
             rows = np.asarray(self.jump_kernel(pos, a), dtype=float)
             if rows.shape != (pos.shape[0], self.n_states):
@@ -371,8 +376,18 @@ class PopdmpModel:
                     raise ModelValidationError("initial kernel rows must sum to 1")
 
 
+def _state_number(model: PopdmpModel, y) -> int:
+    """Index of a post-jump state given either as an index or as a point."""
+    if isinstance(y, (int, np.integer)):
+        i = int(y)
+        if not (0 <= i < model.n_states):
+            raise IndexError(f"state index {i} out of range")
+        return i
+    return model.state_index(y)
+
+
 # ---------------------------------------------------------------------------
-# flow, hazard integral
+# flow, local characteristics, hazard integral
 
 
 def flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarray:
@@ -414,22 +429,15 @@ def flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarr
         nsteps = max(1, math.ceil(span / model.h_ode))
         h = span / nsteps
         for _ in range(nsteps):
-            k1 = _mix_velocity(field, state, mix)
-            k2 = _mix_velocity(field, state + 0.5 * h * k1, mix)
-            k3 = _mix_velocity(field, state + 0.5 * h * k2, mix)
-            k4 = _mix_velocity(field, state + h * k3, mix)
+            k1 = mixture_velocity(field, state, mix)
+            k2 = mixture_velocity(field, state + 0.5 * h * k1, mix)
+            k3 = mixture_velocity(field, state + 0.5 * h * k2, mix)
+            k4 = mixture_velocity(field, state + h * k3, mix)
             state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(state)):
             raise IntegrationDivergedError(f"flow integration diverged near t={b}")
         for j in want.get(float(b), []):
             out[j] = state
-    return out
-
-
-def _mix_velocity(field: VectorField, y: np.ndarray, mixture: ActionMixture) -> np.ndarray:
-    out = np.zeros_like(y)
-    for a, w in zip(mixture.actions, mixture.weights):
-        out = out + w * np.asarray(field.b(y, np.asarray(a, dtype=float)), dtype=float)
     return out
 
 
@@ -440,58 +448,116 @@ def flow(model: PopdmpModel, y, control: RelaxedControl, t: float) -> np.ndarray
     return flow_path(model, y, control, np.array([float(t)]))[0]
 
 
-def _piecewise_simpson_nodes(control: RelaxedControl, t: float, h: float):
-    """Simpson nodes, weights and piece index on [0, t], split at breakpoints.
+def simpson_weights(n_panels: int, h: float) -> np.ndarray:
+    """Composite-Simpson weights on an even number of panels of width h."""
+    w = np.full(n_panels + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= h / 3.0
+    return w
 
-    Breakpoint nodes appear once per adjacent sub-interval, each copy tagged
-    with its own interval's piece, so one-sided limits integrate correctly.
+
+def _simpson_nodes(control: RelaxedControl, cuts, h: float):
+    """Composite-Simpson nodes (step <= h) on each interval between sorted cuts.
+
+    Returns nodes, weights, the active piece and the interval index of each
+    node.  A cut shared by two intervals appears once per interval, each copy
+    tagged with its own interval's piece, so one-sided limits integrate
+    correctly.
     """
+    cuts = np.asarray(cuts, dtype=float)
+    spans = np.diff(cuts)
+    npans = [max(2, 2 * math.ceil(span / (2.0 * h))) for span in spans]
+    nodes = np.concatenate([np.linspace(a, b, n + 1) for a, b, n in zip(cuts[:-1], cuts[1:], npans)])
+    weights = np.concatenate([simpson_weights(n, span / n) for span, n in zip(spans, npans)])
+    seg = np.repeat(np.arange(spans.size), np.add(npans, 1))
+    pieces = control.piece_index_at(0.5 * (cuts[:-1] + cuts[1:]))[seg]
+    return nodes, weights, pieces, seg
+
+
+def _piecewise_simpson_nodes(control: RelaxedControl, t: float, h: float):
+    """Simpson nodes, weights and piece index on [0, t], split at breakpoints."""
     cuts = [0.0] + [b for b in control.breaks if 0.0 < b < t] + [float(t)]
-    nodes, weights, pieces = [], [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        span = b - a
-        if span <= 0:
-            continue
-        npan = max(2, 2 * math.ceil(span / (2.0 * h)))
-        xs = np.linspace(a, b, npan + 1)
-        ws = np.full(npan + 1, 2.0)
-        ws[1::2] = 4.0
-        ws[0] = ws[-1] = 1.0
-        ws *= span / npan / 3.0
-        nodes.append(xs)
-        weights.append(ws)
-        pieces.append(np.full(npan + 1, control.piece_index_at(0.5 * (a + b)), dtype=int))
-    if not nodes:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=int)
-    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(pieces)
+    return _simpson_nodes(control, cuts, h)[:3]
 
 
-def _mixture_hazard_at_nodes(model, y, control, nodes, piece_of) -> np.ndarray:
-    pos = flow_path(model, y, control, nodes)
-    lam = np.zeros(nodes.size)
-    for p in np.unique(piece_of):
-        sel = piece_of == p
-        mix = control.pieces[p]
-        for a, w in zip(mix.actions, mix.weights):
-            lam[sel] += w * np.asarray(model.hazard(pos[sel], np.asarray(a, dtype=float)), dtype=float)
-    return lam
+class ControlPath:
+    """Local characteristics of a relaxed control at points on its flow.
+
+    ``points`` has shape (..., D); ``piece_of``, broadcast to the leading
+    shape, names the control piece active at each point.  The mixture hazard
+    ``hazard`` (...), cost rate ``cost`` (...) and hazard-weighted kernel rows
+    ``kernel_rows`` (..., d), each summed over the atoms of the active
+    mixture, are evaluated on first use; ``hazard`` and ``kernel_rows`` share
+    the per-atom hazard evaluations.
+    """
+
+    def __init__(self, model: PopdmpModel, control: RelaxedControl, points, piece_of):
+        self.model = model
+        self.points = np.asarray(points, dtype=float)
+        self.shape = self.points.shape[:-1]
+        flat = self.points.reshape(-1, self.points.shape[-1])
+        piece = np.broadcast_to(piece_of, self.shape).ravel()
+        # (rows, their points, action, weight) for each atom of each piece in use
+        self._atoms = []
+        for p in np.unique(piece):
+            sel = np.flatnonzero(piece == p)
+            pts = flat[sel]
+            mix = control.pieces[p]
+            for a, w in zip(mix.actions, mix.weights):
+                self._atoms.append((sel, pts, np.asarray(a, dtype=float), w))
+
+    @classmethod
+    def from_post_jump_states(cls, model: PopdmpModel, control: RelaxedControl,
+                              times) -> "ControlPath":
+        """Path along the flows from every post-jump state; points (d, n, D)."""
+        pos = np.stack([flow_path(model, y, control, times) for y in model.post_jump_states])
+        return cls(model, control, pos, control.piece_index_at(times))
+
+    def _sum_over_atoms(self, terms, tail=()) -> np.ndarray:
+        out = np.zeros((math.prod(self.shape), *tail))
+        for (sel, _, _, _), term in zip(self._atoms, terms):
+            out[sel] += term
+        return out.reshape(*self.shape, *tail)
+
+    @cached_property
+    def _atom_hazards(self) -> list[np.ndarray]:
+        return [np.asarray(self.model.hazard(pts, a), dtype=float) for _, pts, a, _ in self._atoms]
+
+    @cached_property
+    def hazard(self) -> np.ndarray:
+        return self._sum_over_atoms(
+            w * lam for (_, _, _, w), lam in zip(self._atoms, self._atom_hazards)
+        )
+
+    @cached_property
+    def cost(self) -> np.ndarray:
+        return self._sum_over_atoms(
+            w * np.asarray(self.model.cost_rate(pts, a), dtype=float)
+            for _, pts, a, w in self._atoms
+        )
+
+    @cached_property
+    def kernel_rows(self) -> np.ndarray:
+        """sum over atoms of w * hazard * jump-kernel row."""
+        return self._sum_over_atoms(
+            ((w * lam)[:, None] * np.asarray(self.model.jump_kernel(pts, a), dtype=float)
+             for (_, pts, a, w), lam in zip(self._atoms, self._atom_hazards)),
+            tail=(self.model.n_states,),
+        )
 
 
 def big_lambda(model: PopdmpModel, y, control: RelaxedControl, t: float) -> float:
     """Integrated mixture hazard Lambda^r(y, t) by composite Simpson."""
     if t < 0:
         raise ValueError("big_lambda requires t >= 0")
-    if t == 0:
-        return 0.0
     nodes, weights, piece_of = _piecewise_simpson_nodes(control, t, model.h_quad)
-    if not nodes.size:
-        return 0.0
-    lam = _mixture_hazard_at_nodes(model, y, control, nodes, piece_of)
+    lam = ControlPath(model, control, flow_path(model, y, control, nodes), piece_of).hazard
     return float(weights @ lam)
 
 
-def lambda_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarray:
-    """Lambda^r(y, t) evaluated at each of the sorted times.
+def _lambda_paths(model: PopdmpModel, starts, control: RelaxedControl, times) -> np.ndarray:
+    """Lambda^r(y, t) for each start y (rows) at each of the sorted times.
 
     The quadrature places sub-interval boundaries at every requested time and
     every control breakpoint, so each returned value is a full composite
@@ -500,38 +566,29 @@ def lambda_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.nda
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1:
         raise ValueError("times must be 1-d")
-    if ts.size == 0:
-        return np.empty(0)
-    if ts[0] < 0 or np.any(np.diff(ts) < 0):
+    if ts.size and (ts[0] < 0 or np.any(np.diff(ts) < 0)):
         raise ValueError("times must be sorted and nonnegative")
+    k = len(starts)
+    if ts.size == 0 or ts[-1] == 0.0:
+        return np.zeros((k, ts.size))
     t_end = float(ts[-1])
-    if t_end == 0.0:
-        return np.zeros(ts.size)
     cuts = np.unique(
         np.concatenate([[0.0, t_end], ts, [b for b in control.breaks if 0.0 < b < t_end]])
     )
-    nodes, weights, pieces = [], [], []
-    seg_of = []
-    for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        span = b - a
-        npan = max(2, 2 * math.ceil(span / (2.0 * model.h_quad)))
-        xs = np.linspace(a, b, npan + 1)
-        ws = np.full(npan + 1, 2.0)
-        ws[1::2] = 4.0
-        ws[0] = ws[-1] = 1.0
-        ws *= span / npan / 3.0
-        nodes.append(xs)
-        weights.append(ws)
-        pieces.append(np.full(npan + 1, control.piece_index_at(0.5 * (a + b)), dtype=int))
-        seg_of.append(np.full(npan + 1, k, dtype=int))
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    pieces = np.concatenate(pieces)
-    seg_of = np.concatenate(seg_of)
-    lam = _mixture_hazard_at_nodes(model, y, control, nodes, pieces)
-    seg_int = np.bincount(seg_of, weights=weights * lam, minlength=cuts.size - 1)
-    cum = np.concatenate([[0.0], np.cumsum(seg_int)])  # value at each cut
-    return np.interp(ts, cuts, cum, left=0.0)
+    nodes, weights, pieces, seg = _simpson_nodes(control, cuts, model.h_quad)
+    pos = np.stack([flow_path(model, y, control, nodes) for y in starts])
+    lam = ControlPath(model, control, pos, pieces).hazard
+    n_seg = cuts.size - 1
+    # one bincount over (start, interval) bins sums each bin in node order
+    bins = (np.arange(k)[:, None] * n_seg + seg).ravel()
+    seg_int = np.bincount(bins, weights=(weights * lam).ravel(), minlength=k * n_seg)
+    cum = np.cumsum(seg_int.reshape(k, n_seg), axis=1)
+    return np.stack([np.interp(ts, cuts, np.concatenate([[0.0], c]), left=0.0) for c in cum])
+
+
+def lambda_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarray:
+    """Lambda^r(y, t) evaluated at each of the sorted times."""
+    return _lambda_paths(model, [y], control, times)[0]
 
 
 def gamma(model: PopdmpModel, y, control: RelaxedControl, t: float) -> float:

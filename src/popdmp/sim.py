@@ -6,7 +6,8 @@ mixture active at the proposal time, and accept with probability
 hazard(position, action) / bound.  Drawing the atom before the acceptance
 test makes the accepted (time, action) pair follow the hazard-weighted law
 that the transition density prescribes, and reduces to plain thinning when
-the hazard ignores the action.
+the hazard ignores the action.  A proposal whose hazard exceeds the bound
+raises ModelValidationError, because thinning would silently clip it.
 
 Reproducibility contract: trajectory ``i`` of a run with master seed ``s``
 consumes uniforms from ``PCG64(SeedSequence((s, i)))`` in a fixed order
@@ -29,7 +30,8 @@ from scipy.integrate import cumulative_simpson
 
 from .grid import ValueGrid, interpolate
 from .mdp import StageQuadrature
-from .model import ClosedFormFlow, PopdmpModel, RelaxedControl, flow_path
+from .model import (_BOUND_TOL, ClosedFormFlow, ControlPath, ModelValidationError, PopdmpModel,
+                    RelaxedControl, flow_path)
 from .solver import BellmanSweep, GridPolicy
 
 __all__ = [
@@ -96,9 +98,7 @@ def default_horizon(model: PopdmpModel, truncation_tol: float = 1e-6) -> float:
 @dataclass(eq=False)
 class _ControlTables:
     control: RelaxedControl
-    breaks: np.ndarray
     atom_cums: list[np.ndarray]
-    times: np.ndarray
     positions: np.ndarray | None  # (d, n, D); None when the flow is closed-form
     lam_int: np.ndarray           # (d, n)
     cum_cost: np.ndarray          # (d, n): integral of exp(-beta u) c_mix(u)
@@ -148,32 +148,16 @@ class SimTables:
     def _build(self, control: RelaxedControl) -> _ControlTables:
         model = self.model
         ts = np.arange(self._n) * self.step
-        d, D = model.n_states, model.space_dim
         closed = isinstance(model.drift, ClosedFormFlow) and model.drift.path is not None
-        pos = np.empty((d, ts.size, D))
-        for i, y in enumerate(model.post_jump_states):
-            pos[i] = flow_path(model, y, control, ts)
-        piece_of = np.array([control.piece_index_at(t) for t in ts])
-        lam_mix = np.zeros((d, ts.size))
-        cost_mix = np.zeros((d, ts.size))
-        for p in np.unique(piece_of):
-            sel = np.flatnonzero(piece_of == p)
-            mix = control.pieces[p]
-            flat = pos[:, sel, :].reshape(-1, D)
-            for a, w in zip(mix.actions, mix.weights):
-                av = np.asarray(a, dtype=float)
-                lam_mix[:, sel] += w * np.asarray(model.hazard(flat, av)).reshape(d, sel.size)
-                cost_mix[:, sel] += w * np.asarray(model.cost_rate(flat, av)).reshape(d, sel.size)
-        lam_int = cumulative_simpson(lam_mix, dx=self.step, axis=1, initial=0.0)
+        path = ControlPath.from_post_jump_states(model, control, ts)
+        lam_int = cumulative_simpson(path.hazard, dx=self.step, axis=1, initial=0.0)
         cum_cost = cumulative_simpson(
-            np.exp(-model.discount * ts)[None, :] * cost_mix, dx=self.step, axis=1, initial=0.0
+            np.exp(-model.discount * ts)[None, :] * path.cost, dx=self.step, axis=1, initial=0.0
         )
         return _ControlTables(
             control=control,
-            breaks=np.asarray(control.breaks, dtype=float),
             atom_cums=[np.cumsum(p.weights) for p in control.pieces],
-            times=ts,
-            positions=None if closed else pos,
+            positions=None if closed else path.points,
             lam_int=lam_int,
             cum_cost=cum_cost,
         )
@@ -321,6 +305,13 @@ def _rowwise_inverse_cdf(cums: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cums.shape[1] - 1)
 
 
+def _check_hazard_bound(model: PopdmpModel, rate) -> None:
+    """Thinning against the declared upper bound is exact only below it."""
+    if np.any(np.asarray(rate) > model.hazard_bounds[1] + _BOUND_TOL):
+        raise ModelValidationError(
+            f"hazard {np.max(rate)!r} at a thinning proposal exceeds its declared upper bound")
+
+
 def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _StreamBank,
                     n: int, x0=None, y0: int | None = None, horizon: float = math.inf,
                     max_jumps: int | None = None, record: bool = False) -> _BatchResult:
@@ -377,7 +368,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
                 tables.ensure_span(float(s_prop.max()))
                 tb = tables.ensure(control)
                 pos = tables.position(tb, y[sub[live]], s_prop)
-                piece = np.searchsorted(tb.breaks, s_prop, side="right")
+                piece = control.piece_index_at(s_prop)
                 acts = np.empty((live.size, model.action_box.shape[0]))
                 rate = np.empty(live.size)
                 for pc in np.unique(piece):
@@ -389,6 +380,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
                         av = np.asarray(mix.actions[ai], dtype=float)
                         acts[asel] = av
                         rate[asel] = np.asarray(model.hazard(pos[asel], av), dtype=float)
+                _check_hazard_bound(model, rate)
                 ok = u3 * lam_bar <= rate
                 hit = live[ok]
                 pend[hit] = False
@@ -437,17 +429,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             # exact Bayes update of the beliefs, using the full mixture at s
             pos_all = tables.position_all(tb, s)
             egam = np.exp(-tables.lam_int_all(tb, s))
-            hk = np.zeros((jumped.size, d, d))
-            piece = np.searchsorted(tb.breaks, s, side="right")
-            for pc in np.unique(piece):
-                g = np.flatnonzero(piece == pc)
-                mix = control.pieces[pc]
-                flat = pos_all[g].reshape(-1, model.space_dim)
-                for a, w in zip(mix.actions, mix.weights):
-                    av = np.asarray(a, dtype=float)
-                    lam = np.asarray(model.hazard(flat, av), dtype=float).reshape(g.size, d)
-                    rk = np.asarray(model.jump_kernel(flat, av), dtype=float).reshape(g.size, d, d)
-                    hk[g] += w * lam[:, :, None] * rk
+            hk = ControlPath(model, control, pos_all, control.piece_index_at(s)[:, None]).kernel_rows
             deltas = x[:, None, :] - states_pts[None, :, :]
             fac = np.zeros((jumped.size, d))
             for off, w_off in zip(offsets, model.noise.weights):
@@ -524,6 +506,7 @@ def sample_jump(model: PopdmpModel, y, control: RelaxedControl, rng):
         av = np.asarray(mix.actions[aidx], dtype=float)
         pos = flow_path(model, y_pt, control, np.array([t]))[0]
         lam = float(np.asarray(model.hazard(pos[None, :], av), dtype=float)[0])
+        _check_hazard_bound(model, lam)
         if gen.random() * lam_bar <= lam:
             break
     rows = np.asarray(model.jump_kernel(pos[None, :], av), dtype=float)[0]

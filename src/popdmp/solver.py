@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .filtering import RegularizationKernel
+from .filtering import _DENOM_FLOOR, RegularizationKernel
 from .grid import SimplexGrid, ValueGrid, build_simplex_grid
 from .mdp import (
     ControlFamily,
@@ -42,8 +42,6 @@ __all__ = [
     "write_value_csv",
     "write_report_csv",
 ]
-
-_DENOM_FLOOR = 1e-300
 
 
 class BellmanSweep:

@@ -248,3 +248,37 @@ def test_cli_overrides_change_resolved_echo(tmp_path):
     doc = yaml.safe_load((tmp_path / "out" / "resolved_config.yaml").read_text())
     assert doc["solver"]["grid_k"] == 3
     assert doc["sim"]["seed"] == 123
+
+
+def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path / "cfg.yaml", {
+        "solver": FAST_SOLVER,
+        "sim": {"n_traj": 300, "seed": 11},
+        "crosscheck": {"observations": [-2.0, 0.0]},
+        "output": {"directory": str(tmp_path / "out")},
+    })
+    builds = []
+    build = P.BellmanSweep.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(P.BellmanSweep, "__init__", counting_build)
+    result = CliRunner().invoke(main, ["crosscheck", "--config", cfg_path])
+    assert result.exit_code == 0, result.output
+    assert len(builds) == 1
+    monkeypatch.undo()
+
+    # the library route builds its own operator for the cross-check
+    model = P.particle_steering_model()
+    family = P.switching_family(taus=[0.5, 1.0])
+    stage = P.StageQuadrature(t_max=8.0, h=0.05)
+    vg, _ = P.value_iteration(model, P.build_simplex_grid(3, 4), family, tol=1e-3, stage=stage)
+    report = P.cross_check(model, P.extract_policy(vg, family), [-2.0, 0.0], n_traj=300, seed=11,
+                           horizon=P.default_horizon(model), stage=stage)
+    expected = ["x0,mc_mean,stderr,mdp_value,z"] + [
+        ",".join(f"{v:.9g}" for v in (r.x0, r.mc_mean, r.stderr, r.mdp_value, r.z))
+        for r in report.rows
+    ]
+    assert (tmp_path / "out" / "zscores.csv").read_text().splitlines() == expected

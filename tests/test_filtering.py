@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import popdmp as P
+from popdmp.model import _lambda_paths
 
 
 def simpson(fn, lo, hi, n):
@@ -253,3 +254,21 @@ def test_filter_matches_simulated_conditional_frequencies(steering_uniform_q0):
         diff = (yy == comp).astype(float) - mu1[:, comp]
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         assert abs(diff.mean()) < 4 * max(se, 1e-12)
+
+
+def test_all_states_hazard_integral_matches_lambda_path():
+    m = P.table_model(
+        states=[-2.0, 0.0, 2.0],
+        cost_table=[(-2.0, 1.0), (2.0, 1.0)],
+        kernel_table=[(-2.0, 1.0, 0.0, 0.0), (2.0, 0.0, 0.0, 1.0)],
+        hazard=[(-2.0, 0.8), (0.5, 1.9), (2.0, 1.2)],
+        noise_offsets=[0.0],
+        noise_weights=[1.0],
+    )
+    r = P.RelaxedControl.from_pieces([
+        (0.0, P.ActionMixture.of([(1.0, 0.3), (-0.5, 0.7)])), (0.37, -1.0), (1.1, 0.5),
+    ])
+    ts = np.linspace(0.25, 1.75, 41)  # the node layout of a regularized update
+    together = _lambda_paths(m, m.post_jump_states, r, ts)
+    for i, y in enumerate(m.post_jump_states):
+        assert np.abs(together[i] - P.lambda_path(m, y, r, ts)).max() <= 1e-13

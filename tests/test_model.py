@@ -1,10 +1,12 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import popdmp as P
-from popdmp.model import _piecewise_simpson_nodes
+from popdmp.model import ControlPath, _piecewise_simpson_nodes
 
 
 def toy_model(b=None, hazard=None, hazard_bounds=(1.0, 1.0), cost=None, cost_max=0.0,
@@ -221,6 +223,76 @@ def test_simpson_nodes_tag_breakpoint_sides():
     assert len(at_break) == 2
     assert sorted(pieces[at_break]) == [0, 1]
     assert weights.sum() == pytest.approx(1.0)
+
+
+def controlled_model():
+    """Three states; hazard, kernel and cost all depend on position and action."""
+    states = np.array([-1.0, 0.0, 1.0])
+
+    def kernel(pts, a):
+        z = np.exp(-(pts[:, :1] - states[None, :]) ** 2 * (1.0 + a[0] ** 2))
+        return z / z.sum(axis=1, keepdims=True)
+
+    return P.PopdmpModel(
+        post_jump_states=states.reshape(-1, 1),
+        drift=P.velocity_flow(),
+        hazard=lambda pts, a: 1.0 + 0.2 * np.sin(pts[:, 0]) ** 2 + 0.25 * abs(a[0]),
+        hazard_bounds=(1.0, 1.5),
+        jump_kernel=kernel,
+        noise=P.NoiseModel(offsets=np.zeros((1, 1)), weights=np.array([1.0])),
+        cost_rate=lambda pts, a: (1.0 + 0.5 * a[0]) * pts[:, 0] ** 2 / (1.0 + pts[:, 0] ** 2),
+        cost_max=1.5,
+        discount=1.0,
+        initial_kernel=lambda x: np.full(3, 1.0 / 3.0),
+        action_box=np.array([[-1.0, 1.0]]),
+        hazard_controlled=True,
+    )
+
+
+@st.composite
+def mixture_controls(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    breaks = sorted(draw(st.lists(st.floats(min_value=0.05, max_value=2.5), min_size=n - 1,
+                                  max_size=n - 1, unique=True)))
+    pieces = []
+    for _ in range(n):
+        pairs = draw(st.lists(st.tuples(st.floats(min_value=-1.0, max_value=1.0),
+                                        st.floats(min_value=0.05, max_value=1.0)),
+                              min_size=1, max_size=3))
+        total = sum(w for _, w in pairs)
+        pieces.append(P.ActionMixture.of([(a, w / total) for a, w in pairs]))
+    return P.RelaxedControl(pieces=tuple(pieces), breaks=tuple(breaks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixture_controls())
+def test_control_path_matches_a_per_point_mixture_loop(control):
+    m = controlled_model()
+    ts = np.unique(np.concatenate([np.linspace(0.0, 3.0, 31), control.breaks]))
+    assert control.piece_index_at(ts).tolist() == [bisect.bisect_right(control.breaks, t)
+                                                   for t in ts]
+    path = ControlPath.from_post_jump_states(m, control, ts)
+    lam = np.zeros((3, ts.size))
+    cost = np.zeros((3, ts.size))
+    rows = np.zeros((3, ts.size, 3))
+    for i, y in enumerate(m.post_jump_states):
+        pos = P.flow_path(m, y, control, ts)
+        for k, t in enumerate(ts):
+            mix = control.mixture_at(t)
+            for a, w in zip(mix.actions, mix.weights):
+                av = np.asarray(a)
+                h = m.hazard(pos[k:k + 1], av)[0]
+                lam[i, k] += w * h
+                cost[i, k] += w * m.cost_rate(pos[k:k + 1], av)[0]
+                rows[i, k] += w * h * m.jump_kernel(pos[k:k + 1], av)[0]
+    assert np.abs(path.hazard - lam).max() <= 1e-13
+    assert np.abs(path.cost - cost).max() <= 1e-13
+    assert np.abs(path.kernel_rows - rows).max() <= 1e-13
+    # the same points laid out time-major, pieces broadcast along the states
+    swapped = ControlPath(m, control, path.points.transpose(1, 0, 2),
+                          control.piece_index_at(ts)[:, None])
+    assert np.array_equal(swapped.hazard, path.hazard.T)
+    assert np.array_equal(swapped.kernel_rows, path.kernel_rows.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -246,6 +247,22 @@ def test_position_dependent_hazard_mass_bookkeeping():
         rho = np.eye(3)[y]
         mass = P.transition_mass(m, rho, control)
         assert abs(disc.mean() - mass) < 3 * se
+
+
+def test_thinning_refuses_a_hazard_above_its_declared_bound():
+    # the spike sits between the validation sample points (multiples of 0.5),
+    # so the model validates; thinning at rate 1.5 would silently clip it to 1.5
+    m = dataclasses.replace(
+        P.particle_steering_model(),
+        hazard=lambda pts, a: np.where(np.abs(pts[:, 0] - 0.25) < 0.1, 3.0, 1.0),
+        hazard_bounds=(1.0, 1.5),
+    )
+    r = P.RelaxedControl.constant(1.0)
+    with pytest.raises(P.ModelValidationError):
+        P.evaluate_policy_mc(m, 0.0, r, n_traj=200, seed=3)
+    with pytest.raises(P.ModelValidationError):
+        for i in range(50):
+            P.sample_jump(m, 1, r, P.RngStream(5, i))
 
 
 def test_replayed_filter_reproduces_the_policy_choices(steering, family, solved15):
