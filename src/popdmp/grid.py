@@ -162,39 +162,6 @@ class SimplexGrid:
         idx, w = self.barycentric_batch(np.asarray(probs, dtype=float))
         return idx[np.arange(idx.shape[0]), np.argmax(w, axis=1)]
 
-    @cached_property
-    def simplices(self) -> list[tuple[int, ...]]:
-        """All top-dimensional Kuhn simplices as vertex-index tuples."""
-        d, K = self.dim, self.subdivisions
-        if d == 1:
-            return [(0,)]
-        out: list[tuple[int, ...]] = []
-        base = self._code_base()
-        code_to_idx = {int(c): int(i) for c, i in zip(self._sorted_codes, self._code_order)}
-        cells = itertools.product(*[range(K)] * (d - 1))
-        for u in cells:
-            uv = np.asarray(u, dtype=np.int64)
-            if np.any(np.diff(uv) < 0):
-                continue
-            for perm in itertools.permutations(range(d - 1)):
-                ok = True
-                for c in range(d - 2):
-                    if uv[c] == uv[c + 1] and perm.index(c + 1) > perm.index(c):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                verts = [uv.copy()]
-                cur = uv.copy()
-                for p in perm:
-                    cur = cur.copy()
-                    cur[p] += 1
-                    verts.append(cur)
-                if any(np.any(np.diff(v) < 0) or v[-1] > K for v in verts):
-                    continue
-                out.append(tuple(code_to_idx[int(v @ base)] for v in verts))
-        return out
-
 
 def build_simplex_grid(d: int, K: int) -> SimplexGrid:
     """Grid of all beliefs with coordinates in {0, 1/K, ..., 1}."""

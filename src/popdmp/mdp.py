@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import cumulative_simpson
 
 from .filtering import _DENOM_FLOOR, RegularizationKernel, as_belief
-from .grid import ValueGrid, interpolate_batch
+from .grid import SimplexGrid, ValueGrid
 from .model import ControlPath, PopdmpModel, RelaxedControl, _state_number, simpson_weights
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "build_tables",
     "stage_cost_g",
     "stage_cost_belief",
+    "transition_matrix",
     "expected_next_value",
     "transition_mass",
     "L_operator",
@@ -130,18 +132,14 @@ def switching_family(actions=(-1.0, 0.0, 1.0), taus=None) -> ControlFamily:
 @dataclass(eq=False)
 class CandidateTables:
     """Everything about one control that is independent of beliefs and of the
-    value function: flow positions, mixture hazard/cost, the discounted
-    hazard-kernel tensor and the per-state stage cost."""
+    value function: the discounted hazard-kernel tensor and the per-state
+    stage cost on the stage time grid."""
 
     control: RelaxedControl
     times: np.ndarray        # (n,)
     weights: np.ndarray      # (n,) composite Simpson weights on [0, t_max]
     step: float
-    positions: np.ndarray    # (d, n, D)
-    lam_mix: np.ndarray      # (d, n)
-    cost_mix: np.ndarray     # (d, n)
-    egamma: np.ndarray       # (d, n) exp(-beta t - Lambda)
-    dmat: np.ndarray         # (d, d, n): dmat[i, u, j] = egamma[i, j] * sum_a w lam Q(u)
+    dmat: np.ndarray         # (d, d, n): exp(-beta t_j - Lambda_i(t_j)) * sum_a w lam Q(u)
     g: np.ndarray            # (d,) stage costs
 
 
@@ -150,22 +148,17 @@ def build_tables(model: PopdmpModel, control: RelaxedControl,
     model.check_control(control)
     ts, W = stage.times_and_weights()
     path = ControlPath.from_post_jump_states(model, control, ts)
-    lam_mix, cost_mix = path.hazard, path.cost
-    lam_int = cumulative_simpson(lam_mix, dx=float(ts[1] - ts[0]), axis=1, initial=0.0)
+    lam_int = cumulative_simpson(path.hazard, dx=float(ts[1] - ts[0]), axis=1, initial=0.0)
     egamma = np.exp(-model.discount * ts[None, :] - lam_int)
     if not np.all(np.isfinite(egamma)):
         raise FloatingPointError("non-finite discount factors in stage tables")
     dmat = np.ascontiguousarray((egamma[:, :, None] * path.kernel_rows).transpose(0, 2, 1))
-    g = (W[None, :] * egamma * cost_mix).sum(axis=1)
+    g = (W[None, :] * egamma * path.cost).sum(axis=1)
     return CandidateTables(
         control=control,
         times=ts,
         weights=W,
         step=float(ts[1] - ts[0]),
-        positions=path.points,
-        lam_mix=lam_mix,
-        cost_mix=cost_mix,
-        egamma=egamma,
         dmat=dmat,
         g=g,
     )
@@ -220,28 +213,21 @@ class StageContext:
         return out
 
 
-def _resolve_ctx(model, stage, ctx) -> StageContext:
-    if ctx is not None:
-        return ctx
-    return StageContext(model, stage)
-
-
 # ---------------------------------------------------------------------------
 # operators
 
 
 def stage_cost_g(model: PopdmpModel, y, control: RelaxedControl,
-                 stage: StageQuadrature | None = None, ctx: StageContext | None = None) -> float:
+                 ctx: StageContext | None = None) -> float:
     """Expected discounted running cost until the next jump, started at y."""
-    ctx = _resolve_ctx(model, stage, ctx)
+    ctx = ctx or StageContext(model)
     return float(ctx.tables(control).g[_state_number(model, y)])
 
 
 def stage_cost_belief(model: PopdmpModel, rho, control: RelaxedControl,
-                      stage: StageQuadrature | None = None,
                       ctx: StageContext | None = None) -> float:
     """Belief-averaged one-stage cost sum_y g(y, r) rho(y)."""
-    ctx = _resolve_ctx(model, stage, ctx)
+    ctx = ctx or StageContext(model)
     probs = as_belief(rho, model.n_states).probs
     return float(probs @ ctx.tables(control).g)
 
@@ -254,12 +240,46 @@ def _require_kernel_policy(model: PopdmpModel, kernel) -> None:
         )
 
 
+def transition_matrix(ctx: StageContext, control: RelaxedControl,
+                      kernel: RegularizationKernel | None, grid: SimplexGrid,
+                      beliefs: np.ndarray) -> sp.csr_matrix:
+    """Belief transition kernel from each row of ``beliefs`` to the grid.
+
+    Row p holds, per grid vertex, the substochastic mass of the posteriors
+    reached from belief p: for every observation atom and stage time node
+    the posterior is formed (driven by the regularized tensor when a kernel
+    is given), dropped when its normalizer is at most ``_DENOM_FLOOR``,
+    located on the grid, and weighted by its Simpson-weighted probability
+    times the barycentric weights.  A value grid's expectation is therefore
+    ``transition_matrix(...) @ values``.
+    """
+    tb = ctx.tables(control)
+    d_w = tb.dmat
+    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else d_w
+    un_w = np.einsum("pi,iuj->puj", beliefs, d_w)
+    un_b = un_w if d_b is d_w else np.einsum("pi,iuj->puj", beliefs, d_b)
+    rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    for wvec in ctx.obs_weights:
+        wx = np.einsum("u,puj->pj", wvec, un_w)
+        numer = wvec[None, :, None] * un_b
+        denom = numer.sum(axis=1)
+        psel, jsel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+        if psel.size == 0:
+            continue
+        posts = numer[psel, :, jsel] / denom[psel, jsel][:, None]
+        idx, bw = grid.barycentric_batch(posts)
+        rows.append(np.repeat(psel.astype(np.int32), grid.dim))
+        cols.append(idx.astype(np.int32).ravel())
+        vals.append(((tb.weights[jsel] * wx[psel, jsel])[:, None] * bw).ravel())
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(beliefs.shape[0], grid.n_points))
+
+
 def expected_next_value(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedControl,
                         kernel: RegularizationKernel | None = None,
-                        stage: StageQuadrature | None = None,
                         ctx: StageContext | None = None) -> float:
     """Integral of the interpolated value function against the belief
-    transition kernel.
+    transition kernel: the one-row ``transition_matrix`` times the values.
 
     The observation sum is exact (finitely many reachable observations); the
     time integral uses the stage Simpson grid.  The plain filter drives the
@@ -267,38 +287,16 @@ def expected_next_value(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedC
     hazard or jump kernel is controlled).
     """
     _require_kernel_policy(model, kernel)
-    ctx = _resolve_ctx(model, stage, ctx)
-    tb = ctx.tables(control)
-    d_w = tb.dmat
-    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else d_w
     probs = as_belief(rho, model.n_states).probs
-    un_w = np.einsum("i,iuj->uj", probs, d_w)
-    un_b = un_w if d_b is d_w else np.einsum("i,iuj->uj", probs, d_b)
-    total = 0.0
-    for wvec in ctx.obs_weights:
-        wx = wvec @ un_w
-        idx = np.flatnonzero(wx > 0.0)
-        if idx.size == 0:
-            continue
-        numer = wvec[:, None] * un_b[:, idx]
-        denom = numer.sum(axis=0)
-        keep = denom > _DENOM_FLOOR
-        idx = idx[keep]
-        if idx.size == 0:
-            continue
-        beliefs = (numer[:, keep] / denom[keep]).T
-        vals = interpolate_batch(v, beliefs)
-        total += float((tb.weights[idx] * wx[idx]) @ vals)
-    return total
+    row = transition_matrix(ctx or StageContext(model), control, kernel, v.grid, probs[None])
+    return float((row @ v.values)[0])
 
 
 def transition_mass(model: PopdmpModel, rho, control: RelaxedControl,
-                    stage: StageQuadrature | None = None,
                     ctx: StageContext | None = None) -> float:
     """Total substochastic mass of the belief transition kernel; equals
     expected_next_value with v identically one."""
-    ctx = _resolve_ctx(model, stage, ctx)
-    tb = ctx.tables(control)
+    tb = (ctx or StageContext(model)).tables(control)
     probs = as_belief(rho, model.n_states).probs
     un_w = np.einsum("i,iuj->uj", probs, tb.dmat)
     return float(tb.weights @ un_w.sum(axis=0))
@@ -306,10 +304,9 @@ def transition_mass(model: PopdmpModel, rho, control: RelaxedControl,
 
 def L_operator(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedControl,
                kernel: RegularizationKernel | None = None,
-               stage: StageQuadrature | None = None,
                ctx: StageContext | None = None) -> float:
     """One-stage cost plus expected next value under one candidate control."""
-    ctx = _resolve_ctx(model, stage, ctx)
+    ctx = ctx or StageContext(model)
     return stage_cost_belief(model, rho, control, ctx=ctx) + expected_next_value(
         model, v, rho, control, kernel=kernel, ctx=ctx
     )
@@ -317,15 +314,9 @@ def L_operator(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedControl,
 
 def T_operator(model: PopdmpModel, v: ValueGrid, rho, family: ControlFamily,
                kernel: RegularizationKernel | None = None,
-               stage: StageQuadrature | None = None,
                ctx: StageContext | None = None) -> tuple[float, int]:
     """Minimum of L over the candidate family; ties go to the lowest index."""
-    ctx = _resolve_ctx(model, stage, ctx)
-    best_val = math.inf
-    best_k = 0
-    for k, control in enumerate(family):
-        val = L_operator(model, v, rho, control, kernel=kernel, ctx=ctx)
-        if val < best_val:
-            best_val = val
-            best_k = k
-    return best_val, best_k
+    ctx = ctx or StageContext(model)
+    vals = [L_operator(model, v, rho, control, kernel=kernel, ctx=ctx) for control in family]
+    k = int(np.argmin(vals))
+    return vals[k], k

@@ -467,10 +467,17 @@ def _simpson_nodes(control: RelaxedControl, cuts, h: float):
     """
     cuts = np.asarray(cuts, dtype=float)
     spans = np.diff(cuts)
-    npans = [max(2, 2 * math.ceil(span / (2.0 * h))) for span in spans]
-    nodes = np.concatenate([np.linspace(a, b, n + 1) for a, b, n in zip(cuts[:-1], cuts[1:], npans)])
-    weights = np.concatenate([simpson_weights(n, span / n) for span, n in zip(spans, npans)])
-    seg = np.repeat(np.arange(spans.size), np.add(npans, 1))
+    npans = np.maximum(2, 2 * np.ceil(spans / (2.0 * h)).astype(np.int64))
+    first = np.cumsum(npans + 1) - (npans + 1)
+    seg = np.repeat(np.arange(spans.size), npans + 1)
+    i = np.arange(seg.size) - first[seg]
+    step = spans / npans
+    # np.linspace's arithmetic, then each interval's last node set to its cut
+    nodes = i * step[seg] + cuts[seg]
+    nodes[first + npans] = cuts[1:]
+    pattern = np.where(i % 2 == 1, 4.0, 2.0)
+    pattern[first] = pattern[first + npans] = 1.0
+    weights = pattern * (step / 3.0)[seg]
     pieces = control.piece_index_at(0.5 * (cuts[:-1] + cuts[1:]))[seg]
     return nodes, weights, pieces, seg
 

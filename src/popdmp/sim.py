@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .filtering import ImpossibleObservationError
 from .grid import ValueGrid, interpolate
 from .mdp import StageQuadrature
 from .model import (_BOUND_TOL, ClosedFormFlow, ControlPath, ModelValidationError, PopdmpModel,
@@ -99,6 +100,8 @@ def default_horizon(model: PopdmpModel, truncation_tol: float = 1e-6) -> float:
 class _ControlTables:
     control: RelaxedControl
     atom_cums: list[np.ndarray]
+    atom_actions: np.ndarray      # (n_atoms, A): the atoms of all pieces, piece by piece
+    atom_first: np.ndarray        # (n_pieces,): id of each piece's first atom
     positions: np.ndarray | None  # (d, n, D); None when the flow is closed-form
     lam_int: np.ndarray           # (d, n)
     cum_cost: np.ndarray          # (d, n): integral of exp(-beta u) c_mix(u)
@@ -157,6 +160,8 @@ class SimTables:
         return _ControlTables(
             control=control,
             atom_cums=[np.cumsum(p.weights) for p in control.pieces],
+            atom_actions=np.array([a for p in control.pieces for a in p.actions], dtype=float),
+            atom_first=np.cumsum([0] + [len(p.actions) for p in control.pieces[:-1]]),
             positions=None if closed else path.points,
             lam_int=lam_int,
             cum_cost=cum_cost,
@@ -352,7 +357,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             pend = np.ones(m, dtype=bool)
             accepted = np.zeros(m, dtype=bool)
             s_acc = np.zeros(m)
-            act_acc = np.zeros((m, model.action_box.shape[0]))
+            atom_acc = np.zeros(m, dtype=np.int64)
             while pend.any():
                 p = np.flatnonzero(pend)
                 u1 = bank.take(sub[p])
@@ -369,24 +374,21 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
                 tb = tables.ensure(control)
                 pos = tables.position(tb, y[sub[live]], s_prop)
                 piece = control.piece_index_at(s_prop)
-                acts = np.empty((live.size, model.action_box.shape[0]))
-                rate = np.empty(live.size)
+                atom = np.empty(live.size, dtype=np.int64)
                 for pc in np.unique(piece):
                     g = np.flatnonzero(piece == pc)
-                    mix = control.pieces[pc]
-                    aidx = _inverse_cdf(tb.atom_cums[pc], u2[g])
-                    for ai in np.unique(aidx):
-                        asel = g[aidx == ai]
-                        av = np.asarray(mix.actions[ai], dtype=float)
-                        acts[asel] = av
-                        rate[asel] = np.asarray(model.hazard(pos[asel], av), dtype=float)
+                    atom[g] = tb.atom_first[pc] + _inverse_cdf(tb.atom_cums[pc], u2[g])
+                rate = np.empty(live.size)
+                for a in np.unique(atom):
+                    asel = np.flatnonzero(atom == a)
+                    rate[asel] = np.asarray(model.hazard(pos[asel], tb.atom_actions[a]), dtype=float)
                 _check_hazard_bound(model, rate)
                 ok = u3 * lam_bar <= rate
                 hit = live[ok]
                 pend[hit] = False
                 accepted[hit] = True
                 s_acc[hit] = s_prop[ok]
-                act_acc[hit] = acts[ok]
+                atom_acc[hit] = atom[ok]
 
             # horizon-truncated members of this group
             cut = sub[~accepted]
@@ -417,11 +419,10 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             u4 = bank.take(jumped)
             u5 = bank.take(jumped)
             y_next = np.empty(jumped.size, dtype=np.int64)
-            acts = act_acc[accepted]
-            uniq, inv = np.unique(acts, axis=0, return_inverse=True)
-            for ai in range(uniq.shape[0]):
-                g = np.flatnonzero(inv == ai)
-                rows_k = np.asarray(model.jump_kernel(pos_j[g], uniq[ai]), dtype=float)
+            atoms = atom_acc[accepted]
+            for a in np.unique(atoms):
+                g = np.flatnonzero(atoms == a)
+                rows_k = np.asarray(model.jump_kernel(pos_j[g], tb.atom_actions[a]), dtype=float)
                 y_next[g] = _rowwise_inverse_cdf(np.cumsum(rows_k, axis=1), u4[g])
             eps_idx = _inverse_cdf(noise_cum, u5)
             x = states_pts[y_next] + offsets[eps_idx]
@@ -438,7 +439,9 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             numer = np.einsum("gi,gi,giu->gu", beliefs[jumped], egam, hk) * fac
             den = numer.sum(axis=1)
             if np.any(den <= 0):
-                raise AssertionError("model-generated observation got zero likelihood")
+                b = int(np.argmax(den <= 0))
+                raise ImpossibleObservationError(f"trajectory {jumped[b]}: observation {x[b].tolist()} "
+                                                 f"at s={s[b]} has zero likelihood")
             beliefs[jumped] = numer / den[:, None]
 
             T[jumped] += s

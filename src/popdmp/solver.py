@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .filtering import _DENOM_FLOOR, RegularizationKernel
+from .filtering import RegularizationKernel
 from .grid import SimplexGrid, ValueGrid, build_simplex_grid
 from .mdp import (
     ControlFamily,
     StageContext,
     StageQuadrature,
-    T_operator,
     _require_kernel_policy,
+    transition_matrix,
 )
 from .model import PopdmpModel, RelaxedControl
 
@@ -60,51 +60,10 @@ class BellmanSweep:
         self.ctx = ctx if ctx is not None else StageContext(model, stage)
         if grid.dim != model.n_states:
             raise ValueError("grid dimension must match the number of post-jump states")
-        pts = grid.points
-        self.gmat = np.empty((len(family), grid.n_points))
-        self.mats: list[sp.csr_matrix] = []
-        for k, control in enumerate(family):
-            tb = self.ctx.tables(control)
-            self.gmat[k] = pts @ tb.g
-            self.mats.append(self._build_matrix(tb, control))
-
-    def _build_matrix(self, tb, control) -> sp.csr_matrix:
-        grid = self.grid
-        n_pts = grid.n_points
-        d_w = tb.dmat
-        d_b = self.ctx.smoothed_dmat(control, self.kernel) if self.kernel is not None else d_w
-        un_w = np.einsum("pi,iuj->puj", grid.points, d_w)
-        un_b = un_w if d_b is d_w else np.einsum("pi,iuj->puj", grid.points, d_b)
-        chunks = []
-        total = 0
-        for wvec in self.ctx.obs_weights:
-            wx = np.einsum("u,puj->pj", wvec, un_w)
-            numer = wvec[None, :, None] * un_b
-            denom = numer.sum(axis=1)
-            psel, jsel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
-            if psel.size == 0:
-                continue
-            beliefs = numer[psel, :, jsel] / denom[psel, jsel][:, None]
-            idx, bw = grid.barycentric_batch(beliefs)
-            contrib = (tb.weights[jsel] * wx[psel, jsel])[:, None] * bw
-            chunks.append((psel, idx, contrib))
-            total += psel.size
-        if total == 0:
-            return sp.csr_matrix((n_pts, n_pts))
-        d = grid.dim
-        rows = np.empty(total * d, dtype=np.int32)
-        cols = np.empty(total * d, dtype=np.int32)
-        vals = np.empty(total * d)
-        at = 0
-        for psel, idx, contrib in chunks:
-            span = psel.size * d
-            rows[at : at + span] = np.repeat(psel.astype(np.int32), d)
-            cols[at : at + span] = idx.ravel()
-            vals[at : at + span] = contrib.ravel()
-            at += span
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_pts, n_pts)).tocsr()
-        mat.sum_duplicates()
-        return mat
+        self.gmat = np.stack([grid.points @ self.ctx.tables(c).g for c in family])
+        self.mats: list[sp.csr_matrix] = [
+            transition_matrix(self.ctx, c, kernel, grid, grid.points) for c in family
+        ]
 
     # -- sweeps ---------------------------------------------------------------
 
@@ -132,10 +91,6 @@ class BellmanSweep:
             if delta < tol:
                 break
         return v
-
-    def mass_rows(self, k: int) -> np.ndarray:
-        """Transition mass per grid point under candidate k (diagnostic)."""
-        return np.asarray(self.mats[k].sum(axis=1)).ravel()
 
 
 @dataclass
@@ -201,13 +156,6 @@ class GridPolicy:
     def control(self, belief) -> RelaxedControl:
         probs = np.asarray(getattr(belief, "probs", belief), dtype=float).reshape(1, -1)
         return self.family[int(self.candidate_indices(probs)[0])]
-
-    def reminimize(self, model: PopdmpModel, v: ValueGrid, belief,
-                   kernel: RegularizationKernel | None = None,
-                   ctx: StageContext | None = None) -> tuple[RelaxedControl, float, int]:
-        """Exact re-minimization of L at an arbitrary belief."""
-        val, k = T_operator(model, v, belief, self.family, kernel=kernel, ctx=ctx)
-        return self.family[k], val, k
 
 
 def extract_policy(vg: ValueGrid, family: ControlFamily) -> GridPolicy:

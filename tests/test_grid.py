@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,9 +66,30 @@ def test_barycentric_weights_reconstruct_the_belief(raw, K):
     assert np.abs(recon - probs).max() < 1e-9
 
 
+def kuhn_simplices(grid):
+    """Reference enumeration of the top-dimensional Kuhn simplices as
+    vertex-index tuples: in cumulative coordinates xi, each unit cell corner
+    u and each order of unit steps gives a vertex chain, kept when every
+    vertex stays in the order cone 0 <= xi_1 <= ... <= xi_{d-1} <= K."""
+    d, K = grid.dim, grid.subdivisions
+    if d == 1:
+        return [(0,)]
+    steps = np.eye(d - 1, dtype=np.int64)
+    out = []
+    for u in itertools.product(range(K), repeat=d - 1):
+        for perm in itertools.permutations(range(d - 1)):
+            chain = [np.asarray(u, dtype=np.int64)]
+            for p in perm:
+                chain.append(chain[-1] + steps[p])
+            if all(np.all(np.diff(v) >= 0) and v[-1] <= K for v in chain):
+                out.append(tuple(grid.vertex_index(np.diff(v, prepend=0, append=K))
+                                 for v in chain))
+    return out
+
+
 def test_every_belief_lands_in_an_enumerated_simplex():
     grid = P.build_simplex_grid(3, 4)
-    simplex_sets = [frozenset(s) for s in grid.simplices]
+    simplex_sets = [frozenset(s) for s in kuhn_simplices(grid)]
     assert len(simplex_sets) == 16  # K^2 top-dimensional cells for d=3
     rng = np.random.default_rng(3)
     beliefs = rng.dirichlet(np.ones(3), size=200)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import popdmp as P
+from popdmp.filtering import _DENOM_FLOOR
 
 
 def test_stage_quadrature_tail_bound(steering):
@@ -201,7 +202,7 @@ def test_grid_bellman_monotone(steering, family, solved15):
 def test_transition_matrices_have_substochastic_rows(solved15):
     _, _, _, sweep = solved15
     for k in (0, 7, 25, 42):
-        rows = sweep.mass_rows(k)
+        rows = np.asarray(sweep.mats[k].sum(axis=1)).ravel()
         assert rows.max() <= 0.5 + 1e-6
         assert rows.min() >= 0.0
 
@@ -228,9 +229,30 @@ def controlled_hazard_model():
     )
 
 
+def naive_expected_next_value(vg, rho, control, kernel, ctx):
+    """Reference for the belief transition kernel: per-belief quadrature,
+    one posterior per observation atom and kept time node, each looked up
+    with on-the-fly barycentric interpolation of the value grid."""
+    tb = ctx.tables(control)
+    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else tb.dmat
+    un_w = np.einsum("i,iuj->uj", rho, tb.dmat)
+    un_b = np.einsum("i,iuj->uj", rho, d_b)
+    total = 0.0
+    for wvec in ctx.obs_weights:
+        wx = wvec @ un_w
+        numer = wvec[:, None] * un_b
+        denom = numer.sum(axis=0)
+        keep = np.flatnonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+        vals = P.interpolate_batch(vg, (numer[:, keep] / denom[keep]).T)
+        total += float((tb.weights[keep] * wx[keep]) @ vals)
+    return total
+
+
 def test_direct_operator_matches_the_precomputed_sweep(steering, ctx):
-    # two independent evaluation routes for T: per-belief quadrature with
-    # on-the-fly interpolation vs the precomputed sparse grid operator
+    # the shared transition kernel (sweep rows, and the one-row point
+    # operator) against an independent per-belief quadrature with
+    # on-the-fly interpolation, plain and regularized, at grid points and
+    # at off-grid beliefs
     grid = P.build_simplex_grid(3, 6)
     fam = P.ControlFamily((
         P.RelaxedControl.constant(0.0),
@@ -238,13 +260,24 @@ def test_direct_operator_matches_the_precomputed_sweep(steering, ctx):
         P.switch_control(-1.0, 1.0),
         P.RelaxedControl.constant(1.0),
     ))
-    sweep = P.BellmanSweep(steering, grid, fam, ctx=ctx)
     values = np.random.default_rng(12).uniform(0.0, 10.0, grid.n_points)
     vg = P.ValueGrid(grid, values)
-    swept, _ = sweep.bellman(values)
-    for i in range(0, grid.n_points, 5):
-        direct, _ = P.T_operator(steering, vg, grid.points[i], fam, ctx=ctx)
-        assert direct == pytest.approx(swept[i], abs=1e-9)
+    off_grid = np.random.default_rng(13).dirichlet(np.ones(3), size=6)
+    for kernel in (None, P.RegularizationKernel("gaussian", 0.1)):
+        sweep = P.BellmanSweep(steering, grid, fam, kernel=kernel, ctx=ctx)
+        for k, control in enumerate(fam):
+            swept = sweep.mats[k] @ values
+            for i in range(0, grid.n_points, 3):
+                ref = naive_expected_next_value(vg, grid.points[i], control, kernel, ctx)
+                assert swept[i] == pytest.approx(ref, abs=1e-11)
+            for rho in np.vstack([grid.points[::4], off_grid]):
+                ref = naive_expected_next_value(vg, rho, control, kernel, ctx)
+                direct = P.expected_next_value(steering, vg, rho, control, kernel=kernel, ctx=ctx)
+                assert direct == pytest.approx(ref, abs=1e-11)
+        swept, _ = sweep.bellman(values)
+        for i in range(0, grid.n_points, 5):
+            direct, _ = P.T_operator(steering, vg, grid.points[i], fam, kernel=kernel, ctx=ctx)
+            assert direct == pytest.approx(swept[i], abs=1e-9)
 
 
 def test_controlled_hazard_requires_a_kernel():

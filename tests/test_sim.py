@@ -265,6 +265,19 @@ def test_thinning_refuses_a_hazard_above_its_declared_bound():
             P.sample_jump(m, 1, r, P.RngStream(5, i))
 
 
+def test_simulator_raises_on_an_impossible_observation():
+    # with match_tol=0, state 2 plus offset 0.3 does not match back exactly
+    # (2.3 - 2.0 != 0.3 in floating point), so the generated observation has
+    # zero likelihood; the online Bayes update reports it as the filter does
+    m = dataclasses.replace(
+        P.particle_steering_model(q0="uniform"),
+        noise=P.NoiseModel(offsets=np.array([[-0.1], [0.0], [0.3]]),
+                           weights=np.full(3, 1.0 / 3.0), match_tol=0.0),
+    )
+    with pytest.raises(P.ImpossibleObservationError, match="zero likelihood"):
+        P.evaluate_policy_mc(m, 0.0, P.RelaxedControl.constant(1.0), n_traj=200, seed=1)
+
+
 def test_replayed_filter_reproduces_the_policy_choices(steering, family, solved15):
     # reconstruct the belief path from the recorded events with the filter
     # module and confirm the policy would have chosen the recorded controls

@@ -132,8 +132,8 @@ def test_extracted_policy_structure(solved15, family):
 def test_policy_reminimization(steering, solved15, family, ctx):
     grid, vg, _, _ = solved15
     policy = P.extract_policy(vg, family)
-    control, val, k = policy.reminimize(steering, vg, np.array([0.62, 0.2, 0.18]), ctx=ctx)
-    assert control.pieces[0].actions == ((1.0,),)
+    val, k = P.T_operator(steering, vg, np.array([0.62, 0.2, 0.18]), policy.family, ctx=ctx)
+    assert policy.family[k].pieces[0].actions == ((1.0,),)
     assert val == pytest.approx(P.interpolate(vg, np.array([0.62, 0.2, 0.18])), abs=5e-3)
 
 
