@@ -39,7 +39,6 @@ class SimplexGrid:
     dim: int
     subdivisions: int
     points: np.ndarray          # (n, d) float beliefs
-    _lattice: np.ndarray        # (n, d) integer compositions
     _sorted_codes: np.ndarray = field(repr=False, default=None)
     _code_order: np.ndarray = field(repr=False, default=None)
 
@@ -183,7 +182,6 @@ def build_simplex_grid(d: int, K: int) -> SimplexGrid:
         dim=d,
         subdivisions=K,
         points=points,
-        _lattice=lattice,
         _sorted_codes=codes[order],
         _code_order=order,
     )

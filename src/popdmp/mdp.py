@@ -192,7 +192,7 @@ class StageContext:
     def __init__(self, model: PopdmpModel, stage: StageQuadrature | None = None):
         self.model = model
         self.stage = stage if stage is not None else StageQuadrature.for_model(model)
-        self.obs_points, self.obs_weights = model.observation_atoms()
+        _, self.obs_weights = model.observation_atoms()
         self._tables: dict[RelaxedControl, CandidateTables] = {}
         self._smoothed: dict[tuple[RelaxedControl, RegularizationKernel], np.ndarray] = {}
 
@@ -232,6 +232,21 @@ def stage_cost_belief(model: PopdmpModel, rho, control: RelaxedControl,
     return float(probs @ ctx.tables(control).g)
 
 
+# Candidates whose L lies within _TIE_RTOL * max(1, |min L|) of the minimum
+# count as tied.  Regrouping the quadrature sums moves L by a few ulp, which
+# would otherwise flip argmins between candidates that tie in exact
+# arithmetic (mirror-image controls on a symmetric belief).
+_TIE_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _tie_stable_min(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum over axis 0 of the (candidates, ...) array ``vals`` and the
+    lowest candidate index within the tie tolerance of it."""
+    best = vals.min(axis=0)
+    tied = vals <= best + _TIE_RTOL * np.maximum(1.0, np.abs(best))
+    return best, tied.argmax(axis=0)
+
+
 def _require_kernel_policy(model: PopdmpModel, kernel) -> None:
     if model.hazard_controlled and kernel is None:
         raise ValueError(
@@ -240,39 +255,68 @@ def _require_kernel_policy(model: PopdmpModel, kernel) -> None:
         )
 
 
+def _time_classes(d_w: np.ndarray, d_b: np.ndarray,
+                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the stage time nodes whose kernel slices agree up to scale.
+
+    Node j's slices ``d_w[:, :, j]`` and ``d_b[:, :, j]`` are each divided
+    by their largest entry; nodes whose normalized slices are bit-identical
+    form one class.  A posterior depends on the ``d_b`` slice only up to
+    scale and its probability weight is linear in the ``d_w`` slice, so a
+    class is represented by its normalized slices and carries the sum of
+    Simpson weight times ``d_w`` scale over its nodes.  Nodes with an
+    all-zero slice carry no mass and are dropped.  Returns the normalized
+    ``d_w`` and ``d_b`` slices, (d, d, C) each, and the (C,) class weights.
+    """
+    d, n = d_w.shape[0], d_w.shape[-1]
+    sw = d_w.reshape(-1, n).max(axis=0)
+    sb = d_b.reshape(-1, n).max(axis=0)
+    live = np.flatnonzero((sw > 0.0) & (sb > 0.0))
+    norm = np.concatenate([d_w[..., live] / sw[live], d_b[..., live] / sb[live]])
+    bits = np.ascontiguousarray(norm.reshape(-1, live.size).T).view(np.uint64)
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    cw = np.bincount(inverse.ravel(), weights=weights[live] * sw[live])
+    rep = norm[..., first]
+    return rep[:d], rep[d:], cw
+
+
 def transition_matrix(ctx: StageContext, control: RelaxedControl,
                       kernel: RegularizationKernel | None, grid: SimplexGrid,
                       beliefs: np.ndarray) -> sp.csr_matrix:
     """Belief transition kernel from each row of ``beliefs`` to the grid.
 
     Row p holds, per grid vertex, the substochastic mass of the posteriors
-    reached from belief p: for every observation atom and stage time node
-    the posterior is formed (driven by the regularized tensor when a kernel
-    is given), dropped when its normalizer is at most ``_DENOM_FLOOR``,
-    located on the grid, and weighted by its Simpson-weighted probability
-    times the barycentric weights.  A value grid's expectation is therefore
+    reached from belief p: for every observation atom and stage time class
+    (``_time_classes``; one class per distinct kernel slice up to scale) the
+    posterior is formed (driven by the regularized tensor when a kernel is
+    given), dropped when its normalizer (taken on the class's normalized
+    slice) is at most ``_DENOM_FLOOR``, located on the grid, and weighted by
+    its class-weighted probability times the barycentric weights.  Grouping the nodes only regroups the Simpson sum,
+    so the matrix equals the per-node sum up to rounding.  Entries are
+    accumulated in a dense (beliefs x grid points) buffer, and the result
+    stores no explicit zeros.  A value grid's expectation is therefore
     ``transition_matrix(...) @ values``.
     """
     tb = ctx.tables(control)
-    d_w = tb.dmat
-    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else d_w
-    un_w = np.einsum("pi,iuj->puj", beliefs, d_w)
-    un_b = un_w if d_b is d_w else np.einsum("pi,iuj->puj", beliefs, d_b)
-    rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else tb.dmat
+    c_w, c_b, cw = _time_classes(tb.dmat, d_b, tb.weights)
+    un_w = np.einsum("pi,iuc->puc", beliefs, c_w)
+    un_b = np.einsum("pi,iuc->puc", beliefs, c_b)
+    n_rows, n_cols = beliefs.shape[0], grid.n_points
+    dense = np.zeros(n_rows * n_cols)
     for wvec in ctx.obs_weights:
-        wx = np.einsum("u,puj->pj", wvec, un_w)
+        wx = np.einsum("u,puc->pc", wvec, un_w)
         numer = wvec[None, :, None] * un_b
         denom = numer.sum(axis=1)
-        psel, jsel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+        psel, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
         if psel.size == 0:
             continue
-        posts = numer[psel, :, jsel] / denom[psel, jsel][:, None]
+        posts = numer[psel, :, csel] / denom[psel, csel][:, None]
         idx, bw = grid.barycentric_batch(posts)
-        rows.append(np.repeat(psel.astype(np.int32), grid.dim))
-        cols.append(idx.astype(np.int32).ravel())
-        vals.append(((tb.weights[jsel] * wx[psel, jsel])[:, None] * bw).ravel())
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(beliefs.shape[0], grid.n_points))
+        dense += np.bincount((psel[:, None] * n_cols + idx).ravel(),
+                             weights=((cw[csel] * wx[psel, csel])[:, None] * bw).ravel(),
+                             minlength=dense.size)
+    return sp.csr_matrix(dense.reshape(n_rows, n_cols))
 
 
 def expected_next_value(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedControl,
@@ -315,8 +359,9 @@ def L_operator(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedControl,
 def T_operator(model: PopdmpModel, v: ValueGrid, rho, family: ControlFamily,
                kernel: RegularizationKernel | None = None,
                ctx: StageContext | None = None) -> tuple[float, int]:
-    """Minimum of L over the candidate family; ties go to the lowest index."""
+    """Minimum of L over the candidate family and the lowest index among the
+    candidates tied with it (``_tie_stable_min``)."""
     ctx = ctx or StageContext(model)
     vals = [L_operator(model, v, rho, control, kernel=kernel, ctx=ctx) for control in family]
-    k = int(np.argmin(vals))
-    return vals[k], k
+    best, k = _tie_stable_min(np.array(vals))
+    return float(best), int(k)

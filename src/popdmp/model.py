@@ -188,6 +188,10 @@ class NoiseModel:
             raise ModelValidationError("noise weights must be nonnegative and sum to 1")
         if len({tuple(row) for row in off}) != off.shape[0]:
             raise ModelValidationError("noise offsets must be distinct")
+        if not self.match_tol > 0:
+            # state + offset need not round back to the offset, so an exact
+            # match would reject the model's own observations
+            raise ModelValidationError("noise match_tol must be positive")
 
     @property
     def dim(self) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
@@ -610,7 +611,9 @@ def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
     """Sample mean and standard error of the discounted cost under a policy.
 
     Trajectory ``i`` always uses stream (seed, i), so the result is
-    independent of chunking and worker count.
+    independent of chunking and worker count.  A callable policy assigns
+    control ids as it meets them and runs in one chunk, so ``workers > 1``
+    then warns and runs single-threaded.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
@@ -627,7 +630,11 @@ def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
         return res.costs
 
     workers = max(1, int(workers))
-    if workers == 1 or isinstance(driver, _CallableDriver):
+    if workers > 1 and isinstance(driver, _CallableDriver):
+        warnings.warn(f"workers={workers} ignored: a callable policy runs single-threaded",
+                      RuntimeWarning, stacklevel=2)
+        workers = 1
+    if workers == 1:
         costs = run_chunk(0, n_traj)
     else:
         bounds = np.linspace(0, n_traj, workers + 1).astype(int)
@@ -664,6 +671,12 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
                 bias_tol: float | None = None) -> CrossCheckReport:
     """Compare Monte Carlo continuous-time cost against the filtered-MDP
     policy value (the T_f fixed point) at each initial observation.
+
+    The simulator always filters with the exact Bayes update, also for a
+    policy solved with a regularization kernel.  With ``kernel`` the MDP
+    side is the regularized policy value while the simulated controller
+    tracks the exact posterior, so the z-scores then also carry the gap
+    between the two filters, which shrinks with the bandwidth.
 
     The z denominator combines the Monte Carlo standard error with a small
     numerical-accuracy allowance (default ``1e-3 * (1 + |value|)``) covering

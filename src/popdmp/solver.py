@@ -25,6 +25,7 @@ from .mdp import (
     StageContext,
     StageQuadrature,
     _require_kernel_policy,
+    _tie_stable_min,
     transition_matrix,
 )
 from .model import PopdmpModel, RelaxedControl
@@ -68,9 +69,9 @@ class BellmanSweep:
     # -- sweeps ---------------------------------------------------------------
 
     def bellman(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One Jacobi sweep: minimized values and argmin candidate indices."""
-        vals = self.gmat + np.stack([m @ values for m in self.mats])
-        return vals.min(axis=0), vals.argmin(axis=0)
+        """One Jacobi sweep: minimized values and argmin candidate indices,
+        the lowest index among tied candidates (``mdp._tie_stable_min``)."""
+        return _tie_stable_min(self.gmat + np.stack([m @ values for m in self.mats]))
 
     def apply_assignment(self, assign: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One sweep of T_f for a fixed candidate assignment per grid point."""
@@ -110,24 +111,25 @@ def value_iteration(model: PopdmpModel, grid: SimplexGrid, family: ControlFamily
                     ctx: StageContext | None = None,
                     sweep: BellmanSweep | None = None) -> tuple[ValueGrid, SolveReport]:
     """Iterate V_{n+1} = T V_n from zero until the sup-norm step drops below
-    tol; on max_iter the partial result is returned with converged=False."""
+    tol; on max_iter the partial result is returned with converged=False.
+    The returned argmins are greedy for the returned values: they come from
+    the closing sweep T V that also gives the final residual."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     if sweep is None:
         sweep = BellmanSweep(model, grid, family, kernel=kernel, stage=stage, ctx=ctx)
     values = np.zeros(grid.n_points)
-    argmins = np.zeros(grid.n_points, dtype=np.int64)
     residuals: list[float] = []
     converged = False
     for _ in range(max_iter):
-        nxt, argmins = sweep.bellman(values)
+        nxt, _ = sweep.bellman(values)
         residuals.append(float(np.max(np.abs(nxt - values))))
         values = nxt
         if residuals[-1] < tol:
             converged = True
             break
-    final_check, _ = sweep.bellman(values)
+    final_check, argmins = sweep.bellman(values)
     final_residual = float(np.max(np.abs(final_check - values)))
     report = SolveReport(
         iterations=len(residuals),

@@ -165,6 +165,39 @@ def test_optimal_policy_reproduction(family, solved40):
     )
 
 
+def _mirror_candidates(family):
+    """Index of each candidate's mirror image (every action negated)."""
+    def flip(c):
+        return P.RelaxedControl(
+            pieces=tuple(P.ActionMixture(actions=tuple(tuple(-v for v in a) for a in p.actions),
+                                         weights=p.weights) for p in c.pieces),
+            breaks=c.breaks)
+    cands = list(family)
+    return np.array([cands.index(flip(c)) for c in cands])
+
+
+def test_argmin_mirror_symmetry(family, solved40):
+    grid, vg, _, _, _ = solved40
+    K = grid.subdivisions
+    mirror = np.array([grid.vertex_index(np.rint(p[::-1] * K).astype(np.int64))
+                       for p in grid.points])
+    mk = _mirror_candidates(family)
+    a = vg.argmins
+    diag = grid.points[:, 0] == grid.points[:, 2]
+    # off the diagonal the reversed belief takes the mirrored candidate; on
+    # it the mirror pair ties and the tie rule takes the lower index
+    off_bad = int(np.sum(mk[a[~diag]] != a[mirror[~diag]]))
+    diag_bad = int(np.sum(a[diag] > mk[a[diag]]))
+    ok = off_bad == 0 and diag_bad == 0
+    _check(
+        "argmins mirror-symmetric",
+        ok,
+        f"{off_bad} of {int((~diag).sum())} off-diagonal beliefs without the mirrored "
+        f"candidate, {diag_bad} of {int(diag.sum())} diagonal beliefs not on the lower "
+        f"index of their mirror pair",
+    )
+
+
 def test_reduction_equivalence(steering, family, solved40):
     t0 = time.perf_counter()
     _, vg, _, _, _ = solved40

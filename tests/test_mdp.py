@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import popdmp as P
+import popdmp.solver as solver_module
 from popdmp.filtering import _DENOM_FLOOR
+from popdmp.mdp import _TIE_RTOL, _tie_stable_min, _time_classes, transition_matrix
 
 
 def test_stage_quadrature_tail_bound(steering):
@@ -144,6 +148,19 @@ def test_L_is_monotone_in_the_value_function(steering, ctx):
         ) + 1e-12
 
 
+def test_tie_rule_takes_the_lowest_index_within_a_few_ulp():
+    eps = np.finfo(float).eps
+    vals = np.array([[1.0 + 2 * eps, 10.0, 3.0],
+                     [1.0, 10.0 - 20 * eps, 3.0 + 1e-9],
+                     [1.0 + 9 * eps, 10.0 + 20 * eps, 3.0 - 1e-9]])
+    best, k = _tie_stable_min(vals)
+    assert best.tolist() == vals.min(axis=0).tolist()
+    # within 4 eps * max(1, |min|) of the minimum the lowest index wins;
+    # 9 eps at 1.0 and a 1e-9 gap are not ties
+    assert k.tolist() == [0, 0, 2]
+    assert _TIE_RTOL == 4 * eps
+
+
 def test_T_singleton_family(steering, ctx):
     grid = P.build_simplex_grid(3, 6)
     vg = P.ValueGrid(grid, np.random.default_rng(9).uniform(0.0, 10.0, grid.n_points))
@@ -278,6 +295,114 @@ def test_direct_operator_matches_the_precomputed_sweep(steering, ctx):
         for i in range(0, grid.n_points, 5):
             direct, _ = P.T_operator(steering, vg, grid.points[i], fam, kernel=kernel, ctx=ctx)
             assert direct == pytest.approx(swept[i], abs=1e-9)
+
+
+def reference_transition_matrix(ctx, control, kernel, grid, beliefs):
+    """Uncompressed reference for ``transition_matrix``: one posterior per
+    (belief, observation atom, stage time node), located on the grid and
+    summed as COO triplets, with no grouping of the time nodes."""
+    tb = ctx.tables(control)
+    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else tb.dmat
+    un_w = np.einsum("pi,iuj->puj", beliefs, tb.dmat)
+    un_b = np.einsum("pi,iuj->puj", beliefs, d_b)
+    out = sp.csr_matrix((beliefs.shape[0], grid.n_points))
+    for wvec in ctx.obs_weights:
+        wx = np.einsum("u,puj->pj", wvec, un_w)
+        numer = wvec[None, :, None] * un_b
+        denom = numer.sum(axis=1)
+        psel, jsel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+        posts = numer[psel, :, jsel] / denom[psel, jsel][:, None]
+        idx, bw = grid.barycentric_batch(posts)
+        vals = (tb.weights[jsel] * wx[psel, jsel])[:, None] * bw
+        out = out + sp.coo_matrix((vals.ravel(), (np.repeat(psel, grid.dim), idx.ravel())),
+                                  shape=out.shape).tocsr()
+    return out
+
+
+@st.composite
+def table_models(draw):
+    d = draw(st.integers(2, 3))
+    states = sorted(draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d, unique=True)))
+    cost_nodes = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=4, unique=True)))
+    kern_nodes = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=3, unique=True)))
+    # dyadic rows: where the flow rests on a plateau, every kernel slice is
+    # then an exact scalar multiple of one matrix, bit for bit
+    rows = ([(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.25, 0.25)] if d == 3
+            else [(1.0, 0.0), (0.5, 0.5)])
+    kernel_table = [(0.5 * y, *draw(st.permutations(draw(st.sampled_from(rows)))))
+                    for y in kern_nodes]
+    if draw(st.booleans()):
+        hazard = draw(st.sampled_from([0.5, 1.0, 1.7]))
+    else:
+        hazard = [(-1.0, draw(st.floats(0.5, 2.0))), (1.0, draw(st.floats(0.5, 2.0)))]
+    offsets = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=1,
+                            max_size=3, unique=True))
+    return P.table_model(
+        states=[0.5 * y for y in states],
+        cost_table=[(0.5 * y, draw(st.floats(0.0, 5.0))) for y in cost_nodes],
+        kernel_table=kernel_table,
+        hazard=hazard,
+        noise_offsets=offsets,
+        noise_weights=np.full(len(offsets), 1.0 / len(offsets)),
+        discount=draw(st.floats(0.5, 2.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_models(), st.floats(-1.0, 1.0), st.floats(0.05, 2.0),
+       st.floats(0.05, 0.3), st.integers(0, 2**32 - 1))
+def test_time_classes_match_the_per_node_reference(model, action, tau, sigma, seed):
+    # the compressed kernel against the uncompressed per-node sum, plain
+    # and regularized, at grid points and random beliefs; with a constant
+    # hazard the discount factor is the same for every state, so once the
+    # flow rests on a kernel plateau the slices are exact multiples of each
+    # other and the time classes must merge those nodes
+    ctx = P.StageContext(model, P.StageQuadrature.for_model(model, h=0.05))
+    grid = P.build_simplex_grid(model.n_states, 4)
+    beliefs = np.vstack([grid.points,
+                         np.random.default_rng(seed).dirichlet(np.ones(model.n_states), 5)])
+    control = P.switch_control(action, tau)
+    tb = ctx.tables(control)
+    if model.hazard_bounds[0] == model.hazard_bounds[1]:
+        assert _time_classes(tb.dmat, tb.dmat, tb.weights)[2].size < tb.times.size // 2
+    for kernel in (None, P.RegularizationKernel("gaussian", sigma)):
+        got = transition_matrix(ctx, control, kernel, grid, beliefs)
+        ref = reference_transition_matrix(ctx, control, kernel, grid, beliefs)
+        assert abs(got - ref).max() <= 1e-13
+        assert np.all(got.data != 0.0)
+
+
+def test_compressed_argmins_match_the_uncompressed_reference_k15(steering, monkeypatch):
+    # the sigma-sweep grid with the mirror pairs of the benchmark family:
+    # with the tie rule, compressed and uncompressed builds pick the same
+    # candidate everywhere, plain and regularized
+    family = P.ControlFamily((
+        P.RelaxedControl.constant(0.0),
+        P.switch_control(1.0, 0.5),
+        P.switch_control(-1.0, 0.5),
+        P.RelaxedControl.constant(1.0),
+        P.RelaxedControl.constant(-1.0),
+    ))
+    grid = P.build_simplex_grid(3, 15)
+    ctx = P.StageContext(steering)
+    kernels = [None] + [P.RegularizationKernel("gaussian", s) for s in (0.2, 0.1, 0.05)]
+    solved = [P.value_iteration(steering, grid, family, kernel=k, ctx=ctx)[0] for k in kernels]
+    monkeypatch.setattr(solver_module, "transition_matrix", reference_transition_matrix)
+    for kernel, vg in zip(kernels, solved):
+        ref, _ = P.value_iteration(steering, grid, family, kernel=kernel, ctx=ctx)
+        assert np.abs(ref.values - vg.values).max() <= 1e-12
+        assert np.array_equal(ref.argmins, vg.argmins)
+
+
+def test_compressed_argmins_match_the_uncompressed_reference_k40(steering, family, solved40,
+                                                                 monkeypatch):
+    # the acceptance grid and family, where the tie rule is what keeps the
+    # mirror-image switches on the diagonal from flipping
+    grid, vg, _, _, _ = solved40
+    monkeypatch.setattr(solver_module, "transition_matrix", reference_transition_matrix)
+    ref, _ = P.value_iteration(steering, grid, family, tol=1e-4)
+    assert np.abs(ref.values - vg.values).max() <= 1e-12
+    assert np.array_equal(ref.argmins, vg.argmins)
 
 
 def test_controlled_hazard_requires_a_kernel():

@@ -321,6 +321,9 @@ def test_noise_model_validation():
         P.NoiseModel(offsets=np.array([[0.0], [0.0]]), weights=np.array([0.5, 0.5]))
     with pytest.raises(P.ModelValidationError):
         P.NoiseModel(offsets=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.4]))
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(P.ModelValidationError, match="match_tol"):
+            P.NoiseModel(offsets=np.array([[0.0]]), weights=np.array([1.0]), match_tol=tol)
     nm = P.NoiseModel(offsets=np.array([[-1.0], [0.0], [1.0]]), weights=np.full(3, 1 / 3))
     assert nm.density_at([1.0]) == pytest.approx(1 / 3)
     assert nm.density_at([0.5]) == 0.0

@@ -155,6 +155,13 @@ def test_worker_count_does_not_change_results(steering, family, solved15):
     assert a == b
 
 
+def test_workers_with_a_callable_policy_warn_and_run_single_threaded(steering):
+    rule = P.DiscretePolicy(lambda probs: P.RelaxedControl.constant(0.0))
+    with pytest.warns(RuntimeWarning, match="workers=2 ignored"):
+        many = P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19, workers=2)
+    assert many == P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19)
+
+
 def test_always_left_from_the_left_plateau_is_deterministic(steering):
     # drifting left from the left edge keeps the cost rate at its plateau
     # and every jump returns to the same state, so the discounted cost is
@@ -266,13 +273,13 @@ def test_thinning_refuses_a_hazard_above_its_declared_bound():
 
 
 def test_simulator_raises_on_an_impossible_observation():
-    # with match_tol=0, state 2 plus offset 0.3 does not match back exactly
+    # with match_tol=1e-20, state 2 plus offset 0.3 does not match back
     # (2.3 - 2.0 != 0.3 in floating point), so the generated observation has
     # zero likelihood; the online Bayes update reports it as the filter does
     m = dataclasses.replace(
         P.particle_steering_model(q0="uniform"),
         noise=P.NoiseModel(offsets=np.array([[-0.1], [0.0], [0.3]]),
-                           weights=np.full(3, 1.0 / 3.0), match_tol=0.0),
+                           weights=np.full(3, 1.0 / 3.0), match_tol=1e-20),
     )
     with pytest.raises(P.ImpossibleObservationError, match="zero likelihood"):
         P.evaluate_policy_mc(m, 0.0, P.RelaxedControl.constant(1.0), n_traj=200, seed=1)
