@@ -80,7 +80,7 @@ def _q0_rule(states: np.ndarray, noise: NoiseModel, rule) -> callable:
 
         def bayes(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            w = np.array([noise.density_at(x - y) for y in states])
+            w = noise.density(x - states)
             s = w.sum()
             if s <= 0:
                 raise ValueError(f"observation {x} is unreachable: no state explains it")

@@ -122,9 +122,7 @@ def _qtilde_matrices(model: PopdmpModel, control: RelaxedControl, times: np.ndar
     hk = ControlPath.from_post_jump_states(model, control, ts).kernel_rows
     out = np.ascontiguousarray((egamma[:, :, None] * hk).transpose(1, 0, 2))
     if x is not None:
-        noisew = np.array(
-            [model.noise.density_at(np.asarray(x, dtype=float) - y) for y in model.post_jump_states]
-        )
+        noisew = model.noise.density(np.asarray(x, dtype=float) - model.post_jump_states)
         out = out * noisew[None, None, :]
     return out
 

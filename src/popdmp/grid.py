@@ -32,6 +32,12 @@ def _compositions(K: int, d: int) -> np.ndarray:
     return np.hstack([first, mids, last])
 
 
+def _code_base(d: int, K: int) -> np.ndarray:
+    """Digit weights of a vertex code: xi_1 is the most significant digit,
+    so codes order vertices as their compositions order lexicographically."""
+    return (K + 1) ** np.arange(d - 2, -1, -1, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexGrid:
     """Beliefs with coordinates in {0, 1/K, ..., 1} and their triangulation."""
@@ -39,21 +45,13 @@ class SimplexGrid:
     dim: int
     subdivisions: int
     points: np.ndarray          # (n, d) float beliefs
-    _sorted_codes: np.ndarray = field(repr=False, default=None)
-    _code_order: np.ndarray = field(repr=False, default=None)
+    _codes: np.ndarray = field(repr=False, default=None)  # (n,) increasing vertex codes
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
 
     # -- vertex indexing ------------------------------------------------------
-
-    def _code_base(self) -> np.ndarray:
-        K = self.subdivisions
-        return (K + 1) ** np.arange(max(self.dim - 1, 1), dtype=np.int64)
-
-    def _codes_of_xi(self, xi: np.ndarray) -> np.ndarray:
-        return xi @ self._code_base()
 
     @cached_property
     def _dense_lookup(self) -> np.ndarray | None:
@@ -64,24 +62,22 @@ class SimplexGrid:
         if size > 4 * 10**6:
             return None
         table = np.full(size, -1, dtype=np.int64)
-        table[self._sorted_codes] = self._code_order
+        table[self._codes] = np.arange(self.n_points)
         return table
 
     def _lookup(self, codes: np.ndarray) -> np.ndarray:
         table = self._dense_lookup
         if table is not None:
             return table[codes]
-        pos = np.searchsorted(self._sorted_codes, codes)
-        return self._code_order[pos]
+        return np.searchsorted(self._codes, codes)
 
     def vertex_index(self, composition) -> int:
-        comp = np.asarray(composition, dtype=np.int64)
-        xi = np.cumsum(comp[:-1]) if self.dim > 1 else np.zeros(1, dtype=np.int64)
-        code = int(self._codes_of_xi(xi.reshape(1, -1))[0])
-        pos = np.searchsorted(self._sorted_codes, code)
-        if pos >= self._sorted_codes.size or self._sorted_codes[pos] != code:
+        xi = np.cumsum(np.asarray(composition, dtype=np.int64)[:-1])
+        code = xi @ _code_base(self.dim, self.subdivisions)
+        pos = int(np.searchsorted(self._codes, code))
+        if pos == self._codes.size or self._codes[pos] != code:
             raise KeyError(f"{composition} is not a grid vertex")
-        return int(self._code_order[pos])
+        return pos
 
     # -- barycentric interpolation data ---------------------------------------
 
@@ -90,7 +86,11 @@ class SimplexGrid:
 
         ``probs`` is (N, d) with rows summing to one; returns ``(idx, w)``
         both (N, d).  Coordinates within a few ulp of a lattice plane are
-        snapped so grid points reproduce their own vertex exactly.
+        snapped so grid points reproduce their own vertex exactly.  The
+        fractional parts are sorted in descending order by a stable
+        insertion network listed from the highest coordinate down, so ties
+        go to the higher coordinate and the vertex chain stays inside the
+        order cone.
         """
         probs = np.asarray(probs, dtype=float)
         n = probs.shape[0]
@@ -98,64 +98,36 @@ class SimplexGrid:
         if d == 1:
             return np.zeros((n, 1), dtype=np.int64), np.ones((n, 1))
         snap = 256.0 * np.finfo(float).eps * max(1.0, K)
-        if d == 3:
-            return self._barycentric_3(probs, n, K, snap)
-        xi = np.cumsum(probs[:, :-1], axis=1) * K
-        r = np.rint(xi)
-        near = np.abs(xi - r) <= snap
-        xi = np.where(near, r, xi)
-        u = np.clip(np.floor(xi), 0.0, K - 1).astype(np.int64)
-        f = xi - u
-        if d == 2:
-            order = np.zeros((n, 1), dtype=np.int64)
-        else:
-            # descending fractional parts; ties go to the higher coordinate
-            # so the vertex chain stays inside the order cone
-            rev = f[:, ::-1]
-            ordrev = np.argsort(-rev, axis=1, kind="stable")
-            order = (d - 2) - ordrev
-        f_sorted = np.take_along_axis(f, order, axis=1)
+        base = _code_base(d, K)
+        code, frac, step = 0, [], []
+        total = probs[:, 0]
+        for c in range(d - 1):
+            if c:
+                total = total + probs[:, c]
+            xi = total * K
+            r = np.rint(xi)
+            xi = np.where(np.abs(xi - r) <= snap, r, xi)
+            u = np.clip(np.floor(xi), 0.0, K - 1)
+            code = code * (K + 1) + u.astype(np.int64)  # Horner form of u @ base
+            frac.insert(0, xi - u)
+            step.insert(0, base[c])
+        for i in range(1, d - 1):
+            for j in range(i, 0, -1):
+                up = frac[j] > frac[j - 1]
+                frac[j - 1], frac[j] = (np.where(up, frac[j], frac[j - 1]),
+                                        np.where(up, frac[j - 1], frac[j]))
+                step[j - 1], step[j] = (np.where(up, step[j], step[j - 1]),
+                                        np.where(up, step[j - 1], step[j]))
         w = np.empty((n, d))
-        w[:, 0] = 1.0 - f_sorted[:, 0]
-        if d > 2:
-            w[:, 1:-1] = f_sorted[:, :-1] - f_sorted[:, 1:]
-        w[:, -1] = f_sorted[:, -1]
-        eye = np.eye(d - 1, dtype=np.int64)
-        chain = np.cumsum(eye[order], axis=1)
-        verts = np.empty((n, d, d - 1), dtype=np.int64)
-        verts[:, 0, :] = u
-        verts[:, 1:, :] = u[:, None, :] + chain
-        codes = verts.reshape(-1, d - 1) @ self._code_base()
-        idx = self._lookup(codes).reshape(n, d)
+        w[:, 0] = 1.0 - frac[0]
+        for k in range(d - 1):
+            w[:, k + 1] = frac[k] - frac[k + 1] if k < d - 2 else frac[k]
+        idx = np.empty((n, d), dtype=np.int64)
+        idx[:, 0] = self._lookup(code)
+        for k in range(d - 1):
+            code = code + step[k]
+            idx[:, k + 1] = self._lookup(code)
         return idx, np.maximum(w, 0.0)
-
-    def _barycentric_3(self, probs, n, K, snap):
-        base = np.int64(K + 1)
-        xi0 = probs[:, 0] * K
-        xi1 = (probs[:, 0] + probs[:, 1]) * K
-        r0 = np.rint(xi0)
-        r1 = np.rint(xi1)
-        xi0 = np.where(np.abs(xi0 - r0) <= snap, r0, xi0)
-        xi1 = np.where(np.abs(xi1 - r1) <= snap, r1, xi1)
-        u0 = np.clip(np.floor(xi0), 0.0, K - 1)
-        u1 = np.clip(np.floor(xi1), 0.0, K - 1)
-        f0 = xi0 - u0
-        f1 = xi1 - u1
-        lead0 = f0 > f1  # ties go to the higher coordinate
-        fmax = np.where(lead0, f0, f1)
-        fmin = np.where(lead0, f1, f0)
-        w = np.empty((n, 3))
-        w[:, 0] = 1.0 - fmax
-        w[:, 1] = fmax - fmin
-        w[:, 2] = fmin
-        code0 = u0.astype(np.int64) + u1.astype(np.int64) * base
-        idx = np.empty((n, 3), dtype=np.int64)
-        step1 = np.where(lead0, np.int64(1), base)
-        idx[:, 0] = code0
-        idx[:, 1] = code0 + step1
-        idx[:, 2] = code0 + 1 + base
-        flat = self._lookup(idx.reshape(-1)).reshape(n, 3)
-        return flat, np.maximum(w, 0.0)
 
     def nearest_vertex_batch(self, probs: np.ndarray) -> np.ndarray:
         idx, w = self.barycentric_batch(np.asarray(probs, dtype=float))
@@ -163,29 +135,19 @@ class SimplexGrid:
 
 
 def build_simplex_grid(d: int, K: int) -> SimplexGrid:
-    """Grid of all beliefs with coordinates in {0, 1/K, ..., 1}."""
+    """Grid of all beliefs with coordinates in {0, 1/K, ..., 1}.
+
+    Points are compositions in lexicographic order, which is the order of
+    their cumulative coordinates, so their codes are increasing.
+    """
     if d < 1 or K < 1:
         raise ValueError("need d >= 1 and K >= 1")
     n = math.comb(K + d - 1, d - 1)
     if n > _MAX_POINTS:
         raise ValueError(f"grid would hold {n} points, above the {_MAX_POINTS} guard")
     lattice = _compositions(K, d)
-    points = lattice.astype(float) / K
-    if d > 1:
-        xi = np.cumsum(lattice[:, :-1], axis=1)
-        base = (K + 1) ** np.arange(d - 1, dtype=np.int64)
-        codes = xi @ base
-    else:
-        codes = np.zeros(1, dtype=np.int64)
-    order = np.argsort(codes)
-    grid = SimplexGrid(
-        dim=d,
-        subdivisions=K,
-        points=points,
-        _sorted_codes=codes[order],
-        _code_order=order,
-    )
-    return grid
+    codes = np.cumsum(lattice[:, :-1], axis=1) @ _code_base(d, K)
+    return SimplexGrid(dim=d, subdivisions=K, points=lattice.astype(float) / K, _codes=codes)
 
 
 @dataclass(eq=False)

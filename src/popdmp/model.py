@@ -197,16 +197,25 @@ class NoiseModel:
     def dim(self) -> int:
         return self.offsets.shape[1]
 
-    def index_of(self, delta) -> int:
-        """Index of the offset matching ``delta`` within tolerance, else -1."""
-        d = _as_vector(delta)
-        tol = self.match_tol * (1.0 + np.abs(d).max(initial=0.0))
-        hits = np.where(np.all(np.abs(self.offsets - d) <= tol, axis=1))[0]
-        return int(hits[0]) if hits.size else -1
+    def density(self, deltas) -> np.ndarray:
+        """Noise density at observation-minus-state differences, (..., D) -> (...).
+
+        A delta matches the first offset within ``match_tol * (1 + max|delta|)``
+        in every coordinate; the filter, the simulator and
+        ``PopdmpModel.observation_atoms`` all match through this rule.
+        """
+        d = np.asarray(deltas, dtype=float)
+        tol = self.match_tol * (1.0 + np.abs(d).max(axis=-1, initial=0.0))
+        out = np.zeros(d.shape[:-1])
+        free = np.ones(d.shape[:-1], dtype=bool)
+        for off, w in zip(self.offsets, self.weights):
+            hit = free & np.all(np.abs(d - off) <= tol[..., None], axis=-1)
+            out += w * hit  # branch-free: masked stores are slow on random masks
+            free &= ~hit
+        return out
 
     def density_at(self, delta) -> float:
-        i = self.index_of(delta)
-        return float(self.weights[i]) if i >= 0 else 0.0
+        return float(self.density(_as_vector(delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +332,7 @@ class PopdmpModel:
             -1, self.space_dim
         )
         xs = np.unique(pts, axis=0)
-        w = np.zeros((xs.shape[0], self.n_states))
-        for j, x in enumerate(xs):
-            for i, y in enumerate(self.post_jump_states):
-                w[j, i] = self.noise.density_at(x - y)
-        return xs, w
+        return xs, self.noise.density(xs[:, None, :] - self.post_jump_states[None, :, :])
 
     def check_control(self, control: RelaxedControl) -> None:
         _check_actions_in_box(control, self.action_box)

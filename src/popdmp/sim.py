@@ -297,7 +297,7 @@ class _BatchResult:
     truncated: np.ndarray
     n_jumps: np.ndarray
     beliefs: np.ndarray
-    hidden: np.ndarray
+    initial_hidden: np.ndarray
     events: dict | None
 
 
@@ -338,6 +338,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
         mu0 = mu0 / mu0.sum()
         u = bank.take(np.arange(n))
         y = _inverse_cdf(np.cumsum(mu0), u)
+    initial_hidden = y.copy()
     beliefs = np.tile(mu0, (n, 1))
     T = np.zeros(n)
     cost = np.zeros(n)
@@ -432,11 +433,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             pos_all = tables.position_all(tb, s)
             egam = np.exp(-tables.lam_int_all(tb, s))
             hk = ControlPath(model, control, pos_all, control.piece_index_at(s)[:, None]).kernel_rows
-            deltas = x[:, None, :] - states_pts[None, :, :]
-            fac = np.zeros((jumped.size, d))
-            for off, w_off in zip(offsets, model.noise.weights):
-                tol = model.noise.match_tol * (1.0 + float(np.abs(off).max()))
-                fac += w_off * np.all(np.abs(deltas - off) <= tol, axis=2)
+            fac = model.noise.density(x[:, None, :] - states_pts[None, :, :])
             numer = np.einsum("gi,gi,giu->gu", beliefs[jumped], egam, hk) * fac
             den = numer.sum(axis=1)
             if np.any(den <= 0):
@@ -470,8 +467,8 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             "seg": np.asarray(ev_seg, dtype=float),
         }
     return _BatchResult(
-        costs=cost, truncated=truncated, n_jumps=n_jumps, beliefs=beliefs, hidden=y,
-        events=events,
+        costs=cost, truncated=truncated, n_jumps=n_jumps, beliefs=beliefs,
+        initial_hidden=initial_hidden, events=events,
     )
 
 
@@ -570,17 +567,9 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
     res = _simulate_batch(model, driver, tables, bank, 1, x0=x0, y0=y0,
                           horizon=horizon, record=True)
     ev = res.events
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    if y0 is not None:
-        first_y = int(y0)
-    else:
-        # replay the stream's first draw to recover the initial hidden state
-        gen = RngStream(seed, index).generator()
-        mu0 = np.asarray(model.initial_kernel(x0v), dtype=float)
-        first_y = int(_inverse_cdf(np.cumsum(mu0 / mu0.sum()), np.array([gen.random()]))[0])
     times = [0.0]
-    states: list[int] = []
-    observations = [x0v]
+    states = [int(res.initial_hidden[0])]
+    observations = [np.atleast_1d(np.asarray(x0, dtype=float))]
     controls: list[RelaxedControl] = []
     seg_costs: list[float] = []
     jump_rows = np.flatnonzero(ev["traj"] >= 0)
@@ -594,7 +583,6 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
     for r in cut_rows:
         controls.append(driver.controls[int(ev["cand"][r])])
         seg_costs.append(float(ev["seg"][r]))
-    states.insert(0, first_y)
     return Trajectory(
         times=times,
         states=states,

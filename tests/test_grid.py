@@ -54,11 +54,13 @@ def test_constant_function_reproduces():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=3),
+@given(st.integers(min_value=2, max_value=5).flatmap(
+           lambda d: st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=d, max_size=d)),
        st.integers(min_value=1, max_value=25))
 def test_barycentric_weights_reconstruct_the_belief(raw, K):
+    # d = len(raw) runs over 2..5
     probs = np.asarray(raw) / np.sum(raw)
-    grid = P.build_simplex_grid(3, K)
+    grid = P.build_simplex_grid(probs.size, K)
     idx, w = grid.barycentric_batch(probs.reshape(1, -1))
     assert np.all(w >= 0.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -70,10 +72,12 @@ def kuhn_simplices(grid):
     """Reference enumeration of the top-dimensional Kuhn simplices as
     vertex-index tuples: in cumulative coordinates xi, each unit cell corner
     u and each order of unit steps gives a vertex chain, kept when every
-    vertex stays in the order cone 0 <= xi_1 <= ... <= xi_{d-1} <= K."""
+    vertex stays in the order cone 0 <= xi_1 <= ... <= xi_{d-1} <= K.
+    Vertices are indexed by matching compositions against ``grid.points``."""
     d, K = grid.dim, grid.subdivisions
     if d == 1:
         return [(0,)]
+    index = {tuple(c): i for i, c in enumerate(np.rint(grid.points * K).astype(np.int64).tolist())}
     steps = np.eye(d - 1, dtype=np.int64)
     out = []
     for u in itertools.product(range(K), repeat=d - 1):
@@ -82,21 +86,61 @@ def kuhn_simplices(grid):
             for p in perm:
                 chain.append(chain[-1] + steps[p])
             if all(np.all(np.diff(v) >= 0) and v[-1] <= K for v in chain):
-                out.append(tuple(grid.vertex_index(np.diff(v, prepend=0, append=K))
+                out.append(tuple(index[tuple(np.diff(v, prepend=0, append=K).tolist())]
                                  for v in chain))
     return out
 
 
+def _tie_heavy_beliefs(grid, rng, n):
+    """Cumulative coordinates on the quarter lattice, so fractional parts
+    tie often (exactly, for K a power of two), plus edge midpoints of
+    random grid points moved half a step between two coordinates."""
+    d, K = grid.dim, grid.subdivisions
+    xi = np.sort(rng.integers(0, 4 * K + 1, (n, d - 1)), axis=1) / 4.0
+    shared = np.diff(xi, prepend=0.0, append=float(K), axis=1) / K
+    p = grid.points[rng.integers(0, grid.n_points, n)].copy()
+    a, b = rng.integers(0, d, n), rng.integers(0, d, n)
+    keep = (p[np.arange(n), a] >= 1.0 / K) & (a != b)
+    p[np.arange(n), a] -= 0.5 / K
+    p[np.arange(n), b] += 0.5 / K
+    return np.vstack([shared, p[keep]])
+
+
 def test_every_belief_lands_in_an_enumerated_simplex():
-    grid = P.build_simplex_grid(3, 4)
-    simplex_sets = [frozenset(s) for s in kuhn_simplices(grid)]
-    assert len(simplex_sets) == 16  # K^2 top-dimensional cells for d=3
+    # slow path: solve the barycentric system of every enumerated cell; the
+    # locator's vertex set must be a cell that contains the belief, and its
+    # nonzero weights the solved ones
     rng = np.random.default_rng(3)
-    beliefs = rng.dirichlet(np.ones(3), size=200)
-    idx, w = grid.barycentric_batch(beliefs)
-    for row in idx:
-        members = frozenset(int(v) for v in row)
-        assert any(members <= s for s in simplex_sets)
+    for d, K in ((2, 8), (3, 4), (4, 4), (5, 4)):
+        grid = P.build_simplex_grid(d, K)
+        cells = kuhn_simplices(grid)
+        assert len(cells) == K ** (d - 1)  # top-dimensional cells of the Kuhn triangulation
+        cell_of = {frozenset(c): k for k, c in enumerate(cells)}
+        inverses = np.linalg.inv(grid.points[np.asarray(cells)].transpose(0, 2, 1))
+        beliefs = np.vstack([rng.dirichlet(np.ones(d), size=200),
+                             rng.dirichlet(np.full(d, 0.2), size=100),
+                             _tie_heavy_beliefs(grid, rng, 200)])
+        idx, w = grid.barycentric_batch(beliefs)
+        for b, row, wr in zip(beliefs, idx, w):
+            k = cell_of.get(frozenset(row.tolist()))
+            assert k is not None, (d, K, b)
+            lam = dict(zip(cells[k], inverses[k] @ b))
+            assert min(lam.values()) >= -1e-12, (d, K, b)
+            for v, wv in zip(row.tolist(), wr):
+                if wv > 0.0:
+                    assert abs(wv - lam[v]) <= 1e-12, (d, K, b)
+
+
+def test_codes_follow_point_order():
+    for d, K in ((1, 5), (2, 7), (3, 40), (4, 6), (5, 4), (6, 3)):
+        grid = P.build_simplex_grid(d, K)
+        assert np.all(np.diff(grid._codes) > 0)
+        comps = np.rint(grid.points * K).astype(np.int64)
+        for i in np.linspace(0, grid.n_points - 1, 20).astype(int):
+            assert grid.vertex_index(comps[i]) == i
+        if d > 1:
+            with pytest.raises(KeyError):
+                grid.vertex_index(np.r_[K + 1, np.zeros(d - 2, dtype=np.int64), -1])
 
 
 def test_dimension_edge_cases():

@@ -329,6 +329,42 @@ def test_noise_model_validation():
     assert nm.density_at([0.5]) == 0.0
 
 
+def test_noise_density_matches_the_scalar_rule():
+    # the vectorized rule against a per-delta density_at loop and a naive
+    # reading of the documented rule: the first offset within
+    # match_tol * (1 + max|delta|) in every coordinate
+    rng = np.random.default_rng(8)
+    nm = P.NoiseModel(offsets=rng.uniform(-3.0, 3.0, (5, 2)), weights=rng.dirichlet(np.ones(5)),
+                      match_tol=1e-9)
+    off = nm.offsets[rng.integers(0, 5, 120)]
+    tol = nm.match_tol * (1.0 + np.abs(off).max(axis=1, keepdims=True))
+    ulps = rng.integers(-4, 5, off.shape)
+    deltas = np.stack([
+        off,
+        off + ulps * np.spacing(off),
+        off + rng.choice([-3.0, 3.0], off.shape) * tol,
+        off + np.where(rng.random(off.shape) < 0.5, 3.0, 0.0) * tol,
+        rng.uniform(-3.0, 3.0, off.shape),
+    ])  # (5, 120, 2)
+
+    def naive(delta):
+        t = nm.match_tol * (1.0 + max(abs(v) for v in delta))
+        for o, w in zip(nm.offsets, nm.weights):
+            if all(abs(a - b) <= t for a, b in zip(delta, o)):
+                return w
+        return 0.0
+
+    got = nm.density(deltas)
+    assert got.shape == deltas.shape[:-1]
+    loop = np.array([[nm.density_at(dl) for dl in row] for row in deltas])
+    ref = np.array([[naive(dl) for dl in row] for row in deltas])
+    assert np.array_equal(got, loop) and np.array_equal(got, ref)
+    assert np.all(got[:2] > 0.0) and np.all(got[2] == 0.0)
+    # offsets closer than the tolerance: the first one wins
+    close = P.NoiseModel(offsets=np.array([[0.0], [1e-10]]), weights=np.array([0.3, 0.7]))
+    assert close.density(np.array([[0.0], [1e-10], [0.5]])).tolist() == [0.3, 0.3, 0.0]
+
+
 def test_distinct_states_required():
     with pytest.raises(P.ModelValidationError):
         toy_model(states=(0.0, 0.0))

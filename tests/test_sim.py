@@ -283,6 +283,11 @@ def test_simulator_raises_on_an_impossible_observation():
     )
     with pytest.raises(P.ImpossibleObservationError, match="zero likelihood"):
         P.evaluate_policy_mc(m, 0.0, P.RelaxedControl.constant(1.0), n_traj=200, seed=1)
+    # the simulator matches through NoiseModel.density, the filter's rule
+    delta = np.array([[(2.0 + 0.3) - 2.0], [(2.0 - 0.1) - 2.0], [0.0]])
+    expected = [0.0, 0.0, 1 / 3]
+    assert m.noise.density(delta).tolist() == [m.noise.density_at(v) for v in delta] == expected
+    assert dataclasses.replace(m.noise, match_tol=1e-9).density(delta).tolist() == [1 / 3] * 3
 
 
 def test_replayed_filter_reproduces_the_policy_choices(steering, family, solved15):
