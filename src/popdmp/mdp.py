@@ -141,10 +141,33 @@ class CandidateTables:
     step: float
     dmat: np.ndarray         # (d, d, n): exp(-beta t_j - Lambda_i(t_j)) * sum_a w lam Q(u)
     g: np.ndarray            # (d,) stage costs
+    node_class: np.ndarray   # (n,) factor class of each node (see build_tables)
+
+
+def _bit_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the columns of the float array ``cols`` that are
+    bit-identical: the first column of each class and every column's class,
+    classes in the lexicographic order of their bits as uint64 (the order of
+    ``np.unique(bits, axis=0)``, which sorts slower)."""
+    bits = np.ascontiguousarray(cols).view(np.uint64)
+    order = np.lexsort(bits[::-1])
+    fresh = np.ones(order.size, dtype=bool)
+    fresh[1:] = (bits[:, order[1:]] != bits[:, order[:-1]]).any(axis=0)
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(fresh) - 1
+    return order[fresh], inverse
 
 
 def build_tables(model: PopdmpModel, control: RelaxedControl,
                  stage: StageQuadrature) -> CandidateTables:
+    """Stage tables of one control.
+
+    Nodes share a factor class when their discount factors agree across
+    states up to one scale (``egamma[:, j] / max_i egamma[i, j]``) and their
+    kernel rows agree, both bit for bit; their ``dmat`` slices are then
+    multiples of each other in exact arithmetic, whatever the rounding of the
+    products does to their last bits.
+    """
     model.check_control(control)
     ts, W = stage.times_and_weights()
     path = ControlPath.from_post_jump_states(model, control, ts)
@@ -154,6 +177,9 @@ def build_tables(model: PopdmpModel, control: RelaxedControl,
         raise FloatingPointError("non-finite discount factors in stage tables")
     dmat = np.ascontiguousarray((egamma[:, :, None] * path.kernel_rows).transpose(0, 2, 1))
     g = (W[None, :] * egamma * path.cost).sum(axis=1)
+    factors = np.concatenate([egamma / egamma.max(axis=0),
+                              path.kernel_rows.transpose(0, 2, 1).reshape(-1, ts.size)])
+    _, node_class = _bit_classes(factors)
     return CandidateTables(
         control=control,
         times=ts,
@@ -161,6 +187,7 @@ def build_tables(model: PopdmpModel, control: RelaxedControl,
         step=float(ts[1] - ts[0]),
         dmat=dmat,
         g=g,
+        node_class=node_class,
     )
 
 
@@ -255,27 +282,36 @@ def _require_kernel_policy(model: PopdmpModel, kernel) -> None:
         )
 
 
-def _time_classes(d_w: np.ndarray, d_b: np.ndarray,
-                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the stage time nodes whose kernel slices agree up to scale.
+def _time_classes(tb: CandidateTables,
+                  d_b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the stage time nodes of ``tb`` whose kernel slices agree up to
+    scale.
 
-    Node j's slices ``d_w[:, :, j]`` and ``d_b[:, :, j]`` are each divided
-    by their largest entry; nodes whose normalized slices are bit-identical
-    form one class.  A posterior depends on the ``d_b`` slice only up to
-    scale and its probability weight is linear in the ``d_w`` slice, so a
-    class is represented by its normalized slices and carries the sum of
-    Simpson weight times ``d_w`` scale over its nodes.  Nodes with an
+    A posterior depends on a node's ``d_b`` slice (the regularized tensor,
+    or ``tb.dmat`` when ``d_b`` is None) only up to scale, and its
+    probability weight is linear in the ``tb.dmat`` slice.  Every node
+    takes the ``dmat`` slice, divided by its largest entry, of the first
+    node of its factor class (``tb.node_class``), so that slices that are
+    multiples in exact arithmetic merge whatever rounding did to their last
+    bits.  Nodes whose normalized slices are then bit-identical (jointly
+    with their normalized ``d_b`` slice) form one class, represented by
+    those slices and carrying the sum of Simpson weight times ``dmat``
+    scale over its nodes; classes are ordered by those bits.  Nodes with an
     all-zero slice carry no mass and are dropped.  Returns the normalized
-    ``d_w`` and ``d_b`` slices, (d, d, C) each, and the (C,) class weights.
+    ``dmat`` and ``d_b`` slices, (d, d, C) each, and the (C,) class weights.
     """
+    d_w = tb.dmat
     d, n = d_w.shape[0], d_w.shape[-1]
     sw = d_w.reshape(-1, n).max(axis=0)
-    sb = d_b.reshape(-1, n).max(axis=0)
+    sb = sw if d_b is None else d_b.reshape(-1, n).max(axis=0)
     live = np.flatnonzero((sw > 0.0) & (sb > 0.0))
-    norm = np.concatenate([d_w[..., live] / sw[live], d_b[..., live] / sb[live]])
-    bits = np.ascontiguousarray(norm.reshape(-1, live.size).T).view(np.uint64)
-    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    cw = np.bincount(inverse.ravel(), weights=weights[live] * sw[live])
+    _, first, node = np.unique(tb.node_class[live], return_index=True, return_inverse=True)
+    rep = live[first[node]]
+    norm_w = d_w[..., rep] / sw[rep]
+    norm_b = norm_w if d_b is None else d_b[..., live] / sb[live]
+    norm = np.concatenate([norm_w, norm_b])
+    first, inverse = _bit_classes(norm.reshape(-1, live.size))
+    cw = np.bincount(inverse, weights=tb.weights[live] * sw[live])
     rep = norm[..., first]
     return rep[:d], rep[d:], cw
 
@@ -298,8 +334,8 @@ def transition_matrix(ctx: StageContext, control: RelaxedControl,
     ``transition_matrix(...) @ values``.
     """
     tb = ctx.tables(control)
-    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else tb.dmat
-    c_w, c_b, cw = _time_classes(tb.dmat, d_b, tb.weights)
+    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else None
+    c_w, c_b, cw = _time_classes(tb, d_b)
     un_w = np.einsum("pi,iuc->puc", beliefs, c_w)
     un_b = np.einsum("pi,iuc->puc", beliefs, c_b)
     n_rows, n_cols = beliefs.shape[0], grid.n_points

@@ -16,6 +16,15 @@ the increment, the atom and the acceptance check, where a proposal reaching
 the horizon consumes just the increment; per accepted jump the next state
 and the noise offset).  Results are therefore bit-identical however the
 batch is chunked or scheduled.
+
+The batch engine does not build a numpy generator per trajectory: its
+stream bank holds the PCG64 states of a whole chunk as uint64 arrays,
+seeded by replaying SeedSequence's pool hashing on uint32 columns and
+stepped as 128-bit integers, and draws for every ``(s, i)`` exactly the
+doubles that ``RngStream(s, i).generator().random()`` draws, for every
+non-negative seed and index, including those of 2**32 and above.
+``RngStream.generator`` stays the single-stream interface and the reference
+the tests compare the bank with.
 """
 
 from __future__ import annotations
@@ -213,23 +222,154 @@ class SimTables:
 # per-trajectory uniform streams
 
 
-class _StreamBank:
-    """One PCG64 stream per trajectory, consumed strictly in order."""
+# numpy's SeedSequence (hash and mix constants, pool of four uint32 words)
+# and PCG64 (128-bit LCG multiplier) constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MULT_HI, _MULT_LO = 2549297995355413924, 4865540595714422341
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _MASK32, _MULT_LO >> 32
 
-    def __init__(self, seed: int, indices: np.ndarray, block: int = 64):
-        self._gens = [RngStream(seed, int(i)).generator() for i in indices]
+
+def _uint32_words(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """SeedSequence's coercion of non-negative integers to little-endian
+    uint32 words, elementwise: the word columns (zero past an element's last
+    word) and each element's word count (zero has one word)."""
+    if np.any(values < 0):
+        raise ValueError("expected non-negative integer")
+    cols = [np.asarray(values & _MASK32).astype(np.uint32)]
+    count = np.ones(values.shape, dtype=np.int64)
+    rest = values >> 32
+    while np.any(rest != 0):
+        count += np.asarray(rest != 0)
+        cols.append(np.asarray(rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+    return cols, count
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hash on uint32 columns; its constant starts at
+    ``init`` and is multiplied by ``mult`` at every call, the same way in
+    every row, so it stays a scalar."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value = value * const
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _generate_state(seed: int, indices) -> list[np.ndarray]:
+    """``SeedSequence((seed, i)).generate_state(8)`` for every i in
+    ``indices``, as eight uint32 columns.
+
+    The pool hashes the first four entropy words (zero-padded), mixes every
+    pool word into every other, then mixes every further entropy word into
+    each pool word, masked per row because rows may carry different word
+    counts.
+    """
+    seed_cols, seed_count = _uint32_words(np.array([int(seed)], dtype=object))
+    idx_cols, idx_count = _uint32_words(np.asarray(indices))
+    n = idx_count.size
+    words = [np.full(n, c[0], dtype=np.uint32) for c in seed_cols] + idx_cols
+    n_words = int(seed_count[0]) + idx_count
+    words += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ (r >> _XSHIFT)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for k in range(_POOL_SIZE, len(words)):
+        more = k < n_words
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(more, mix(pool[dst], hashmix(words[k])), pool[dst])
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    return [out_hash(pool[k % _POOL_SIZE]) for k in range(8)]
+
+
+def _pcg64_step(lo: np.ndarray, hi: np.ndarray, inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step, ``state * MULT + inc`` modulo 2**128, on the (lo, hi)
+    uint64 halves of the states.  uint64 products wrap modulo 2**64, which
+    gives every term but the high half of ``lo * MULT_LO``; that one is
+    summed from 32-bit limb products, each exact in 64 bits."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    p00, p01, p10 = a0 * _MULT_LO0, a0 * _MULT_LO1, a1 * _MULT_LO0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * _MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _MULT_LO + inc[0]
+    return new_lo, hi * _MULT_LO + lo * _MULT_HI + carry + inc[1] + (new_lo < inc[0])
+
+
+def _pcg64_seed(seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) halves, (2, n) uint64 each, of the state and increment
+    that ``PCG64(SeedSequence((seed, i)))`` starts from, for every i in
+    ``indices``.
+
+    ``generate_state(4, uint64)`` gives the initial state (words 0 and 1,
+    high first) and the stream selector (words 2 and 3); PCG64's set-up is
+    state 0, increment ``selector << 1 | 1``, a step, the initial state
+    added, and another step.
+    """
+    w = [v.astype(np.uint64) for v in _generate_state(seed, indices)]
+    init_lo, init_hi = w[2] | (w[3] << 32), w[0] | (w[1] << 32)
+    sel_lo, sel_hi = w[6] | (w[7] << 32), w[4] | (w[5] << 32)
+    inc = np.array([(sel_lo << 1) | 1, (sel_hi << 1) | (sel_lo >> 63)])
+    lo = inc[0] + init_lo
+    hi = inc[1] + init_hi + (lo < init_lo)
+    return np.array(_pcg64_step(lo, hi, inc)), inc
+
+
+class _StreamBank:
+    """The uniform streams ``RngStream(seed, i)`` of a chunk of trajectories,
+    held as arrays and consumed strictly in order.
+
+    Row r draws exactly the doubles that
+    ``RngStream(seed, indices[r]).generator().random()`` draws: its PCG64
+    state is seeded by ``_pcg64_seed``, stepped by ``_pcg64_step`` and output
+    by XSL-RR (the halves xor-ed, rotated right by the top six state bits),
+    and a double is the output's top 53 bits times 2**-53.  A take refills
+    only its exhausted rows, ``block`` draws each, one step across those rows
+    at a time, so temporaries stay row-sized.
+    """
+
+    def __init__(self, seed: int, indices, block: int = 16):
+        self._state, self._inc = _pcg64_seed(seed, indices)
+        n = self._state.shape[1]
         self._block = block
-        self._buf = np.empty((len(self._gens), block))
-        self._pos = np.full(len(self._gens), block, dtype=np.int64)
+        self._buf = np.empty((n, block))
+        self._pos = np.full(n, block, dtype=np.int64)
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         exhausted = rows[self._pos[rows] >= self._block]
-        for i in exhausted:
-            self._buf[i] = self._gens[i].random(self._block)
-            self._pos[i] = 0
+        if exhausted.size:
+            self._refill(exhausted)
         out = self._buf[rows, self._pos[rows]]
         self._pos[rows] += 1
         return out
+
+    def _refill(self, rows: np.ndarray) -> None:
+        (lo, hi), inc = self._state[:, rows], self._inc[:, rows]
+        for j in range(self._block):
+            lo, hi = _pcg64_step(lo, hi, inc)
+            rot = hi >> 58
+            x = lo ^ hi
+            x = (x >> rot) | (x << ((64 - rot) & 63))
+            self._buf[rows, j] = (x >> 11) * 2.0 ** -53
+        self._state[:, rows] = lo, hi
+        self._pos[rows] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ def test_time_classes_match_the_per_node_reference(model, action, tau, sigma, se
     control = P.switch_control(action, tau)
     tb = ctx.tables(control)
     if model.hazard_bounds[0] == model.hazard_bounds[1]:
-        assert _time_classes(tb.dmat, tb.dmat, tb.weights)[2].size < tb.times.size // 2
+        assert _time_classes(tb)[2].size < tb.times.size // 2
     for kernel in (None, P.RegularizationKernel("gaussian", sigma)):
         got = transition_matrix(ctx, control, kernel, grid, beliefs)
         ref = reference_transition_matrix(ctx, control, kernel, grid, beliefs)

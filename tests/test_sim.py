@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import popdmp as P
+import popdmp.sim as sim
 
 
 def simpson_vals(fn, lo, hi, n):
@@ -14,6 +16,76 @@ def simpson_vals(fn, lo, hi, n):
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return xs, w * (hi - lo) / n / 3.0
+
+
+# seeds and indices at the entropy word-count edges: 0 and 2**32 - 1 (one
+# uint32 word), 2**32 (two) and two three-word values; a three-word seed with
+# a three-word index makes six entropy words, beyond the pool of four
+_WORD_EDGES = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**70]
+_stream_ids = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**40),
+                        st.integers(0, 2**80))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stream_ids, st.lists(_stream_ids, min_size=1, max_size=6),
+       st.sampled_from([1, 2, 5, 16, 64]), st.data())
+def test_stream_bank_draws_the_numpy_streams(seed, indices, block, data):
+    # ragged takes (random row subsets, rows recurring across refills, so
+    # that refills are partial) against RngStream(seed, i).generator()
+    big = max(indices) >= 2**63
+    bank = sim._StreamBank(seed, np.array(indices, dtype=object if big else np.int64),
+                           block=block)
+    n = len(indices)
+    takes = data.draw(st.lists(st.lists(st.integers(0, n - 1), unique=True), max_size=90))
+    used = np.zeros(n, dtype=np.int64)
+    want = [P.RngStream(seed, i).generator().random(len(takes)) for i in indices]
+    for rows in takes:
+        rows = np.array(rows, dtype=np.int64)
+        got = bank.take(rows)
+        assert np.array_equal(got, [want[r][used[r]] for r in rows])
+        used[rows] += 1
+
+
+def test_stream_bank_rejects_negative_seeds_and_indices():
+    for seed, indices in ((-1, [0]), (0, [3, -2]), (5, [2**70, -1])):
+        with pytest.raises(ValueError):
+            P.RngStream(seed, indices[-1]).generator()
+        with pytest.raises(ValueError):
+            sim._StreamBank(seed, np.array(indices))
+
+
+class _GeneratorBank:
+    """Reference bank: one numpy generator per row, one scalar draw per take."""
+
+    def __init__(self, seed, indices):
+        self._gens = [P.RngStream(seed, int(i)).generator() for i in indices]
+
+    def take(self, rows):
+        return np.array([self._gens[r].random() for r in rows])
+
+
+def test_engine_draws_match_the_per_row_generator_reference(steering, family, solved15,
+                                                            monkeypatch):
+    _, vg, _, _ = solved15
+    policy = P.extract_policy(vg, family)
+
+    def run():
+        mc = [P.evaluate_policy_mc(steering, x0, policy, 1_500, seed=11 + k)
+              for k, x0 in enumerate((-2.0, 0.0, 2.0))]
+        traj = P.simulate_trajectory(steering, -2.0, policy, P.RngStream(2**32 + 8, 2**33 + 1))
+        first = P.sample_first_jumps(steering, P.RelaxedControl.constant(0.5), 600, seed=4,
+                                     x0=0.0)
+        return mc, traj, first
+
+    fast = run()
+    monkeypatch.setattr(sim, "_StreamBank", _GeneratorBank)
+    ref = run()
+    assert fast[0] == ref[0]
+    for name in ("times", "states", "segment_costs", "total_cost", "truncated"):
+        assert getattr(fast[1], name) == getattr(ref[1], name)
+    assert np.array_equal(fast[1].observations, ref[1].observations)
+    for a, b in zip(fast[2], ref[2]):
+        assert np.array_equal(a, b)
 
 
 def test_sample_jump_reproducible(steering):
