@@ -327,8 +327,12 @@ def transition_matrix(ctx: StageContext, control: RelaxedControl,
     posterior is formed (driven by the regularized tensor when a kernel is
     given), dropped when its normalizer (taken on the class's normalized
     slice) is at most ``_DENOM_FLOOR``, located on the grid, and weighted by
-    its class-weighted probability times the barycentric weights.  Grouping the nodes only regroups the Simpson sum,
-    so the matrix equals the per-node sum up to rounding.  Entries are
+    its class-weighted probability times the barycentric weights.  Grouping
+    the nodes only regroups the Simpson sum, so the matrix equals the
+    per-node sum up to rounding.  An atom whose noise weights have a single
+    nonzero entry u yields the posterior e_u exactly (x/x and 0/x) wherever
+    it is kept, so e_u is located once and each row's mass, summed over its
+    kept time classes, is spread over its barycentric weights.  Entries are
     accumulated in a dense (beliefs x grid points) buffer, and the result
     stores no explicit zeros.  A value grid's expectation is therefore
     ``transition_matrix(...) @ values``.
@@ -337,21 +341,30 @@ def transition_matrix(ctx: StageContext, control: RelaxedControl,
     d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else None
     c_w, c_b, cw = _time_classes(tb, d_b)
     un_w = np.einsum("pi,iuc->puc", beliefs, c_w)
-    un_b = np.einsum("pi,iuc->puc", beliefs, c_b)
+    un_b = un_w if d_b is None else np.einsum("pi,iuc->puc", beliefs, c_b)
     n_rows, n_cols = beliefs.shape[0], grid.n_points
     dense = np.zeros(n_rows * n_cols)
     for wvec in ctx.obs_weights:
-        wx = np.einsum("u,puc->pc", wvec, un_w)
-        numer = wvec[None, :, None] * un_b
-        denom = numer.sum(axis=1)
-        psel, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+        support = np.flatnonzero(wvec)
+        if support.size == 1:
+            u = support[0]
+            wx = wvec[u] * un_w[:, u]
+            keep = (wx > 0.0) & (wvec[u] * un_b[:, u] > _DENOM_FLOOR)
+            psel = np.flatnonzero(keep.any(axis=1))
+            pw = np.where(keep[psel], wx[psel], 0.0) @ cw
+            posts = np.eye(1, wvec.size, u)
+        else:
+            wx = np.einsum("u,puc->pc", wvec, un_w)
+            numer = wvec[None, :, None] * un_b
+            denom = numer.sum(axis=1)
+            psel, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+            pw = cw[csel] * wx[psel, csel]
+            posts = numer[psel, :, csel] / denom[psel, csel][:, None]
         if psel.size == 0:
             continue
-        posts = numer[psel, :, csel] / denom[psel, csel][:, None]
         idx, bw = grid.barycentric_batch(posts)
         dense += np.bincount((psel[:, None] * n_cols + idx).ravel(),
-                             weights=((cw[csel] * wx[psel, csel])[:, None] * bw).ravel(),
-                             minlength=dense.size)
+                             weights=(pw[:, None] * bw).ravel(), minlength=dense.size)
     return sp.csr_matrix(dense.reshape(n_rows, n_cols))
 
 

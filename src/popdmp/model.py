@@ -497,6 +497,18 @@ def _piecewise_simpson_nodes(control: RelaxedControl, t: float, h: float):
     return _simpson_nodes(control, cuts, h)[:3]
 
 
+def _index_groups(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The distinct values of the 1-d integer array ``ids`` in ascending
+    order, each with the ascending positions that hold it: the pairs
+    ``(v, np.flatnonzero(ids == v))`` for ``v`` in ``np.unique(ids)``, from
+    one stable argsort."""
+    if ids.size == 0:
+        return []
+    order = np.argsort(ids, kind="stable")
+    cuts = np.flatnonzero(ids[order[1:]] != ids[order[:-1]]) + 1
+    return [(ids[g[0]], g) for g in np.split(order, cuts)]
+
+
 class ControlPath:
     """Local characteristics of a relaxed control at points on its flow.
 
@@ -516,8 +528,7 @@ class ControlPath:
         piece = np.broadcast_to(piece_of, self.shape).ravel()
         # (rows, their points, action, weight) for each atom of each piece in use
         self._atoms = []
-        for p in np.unique(piece):
-            sel = np.flatnonzero(piece == p)
+        for p, sel in _index_groups(piece):
             pts = flat[sel]
             mix = control.pieces[p]
             for a, w in zip(mix.actions, mix.weights):

@@ -42,7 +42,7 @@ from .filtering import ImpossibleObservationError
 from .grid import ValueGrid, interpolate
 from .mdp import StageQuadrature
 from .model import (_BOUND_TOL, ClosedFormFlow, ControlPath, ModelValidationError, PopdmpModel,
-                    RelaxedControl, flow_path)
+                    RelaxedControl, _index_groups, flow_path)
 from .solver import BellmanSweep, GridPolicy
 
 __all__ = [
@@ -186,8 +186,7 @@ class SimTables:
     def position(self, tb: _ControlTables, y_idx: np.ndarray, s: np.ndarray) -> np.ndarray:
         if tb.positions is None:
             out = np.empty((s.size, self.model.space_dim))
-            for i in np.unique(y_idx):
-                sel = np.flatnonzero(y_idx == i)
+            for i, sel in _index_groups(y_idx):
                 out[sel] = self.model.drift.path(
                     self.model.post_jump_states[i], tb.control, s[sel]
                 )
@@ -490,8 +489,8 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
     while active.any():
         rows = np.flatnonzero(active)
         ks = driver.assign(beliefs[rows])
-        for k in np.unique(ks):
-            sub = rows[ks == k]
+        for k, members in _index_groups(ks):
+            sub = rows[members]
             control = driver.controls[k]
             tb = tables.ensure(control)
             m = sub.size
@@ -517,12 +516,10 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
                 pos = tables.position(tb, y[sub[live]], s_prop)
                 piece = control.piece_index_at(s_prop)
                 atom = np.empty(live.size, dtype=np.int64)
-                for pc in np.unique(piece):
-                    g = np.flatnonzero(piece == pc)
+                for pc, g in _index_groups(piece):
                     atom[g] = tb.atom_first[pc] + _inverse_cdf(tb.atom_cums[pc], u2[g])
                 rate = np.empty(live.size)
-                for a in np.unique(atom):
-                    asel = np.flatnonzero(atom == a)
+                for a, asel in _index_groups(atom):
                     rate[asel] = np.asarray(model.hazard(pos[asel], tb.atom_actions[a]), dtype=float)
                 _check_hazard_bound(model, rate)
                 ok = u3 * lam_bar <= rate
@@ -562,8 +559,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             u5 = bank.take(jumped)
             y_next = np.empty(jumped.size, dtype=np.int64)
             atoms = atom_acc[accepted]
-            for a in np.unique(atoms):
-                g = np.flatnonzero(atoms == a)
+            for a, g in _index_groups(atoms):
                 rows_k = np.asarray(model.jump_kernel(pos_j[g], tb.atom_actions[a]), dtype=float)
                 y_next[g] = _rowwise_inverse_cdf(np.cumsum(rows_k, axis=1), u4[g])
             eps_idx = _inverse_cdf(noise_cum, u5)

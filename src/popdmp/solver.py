@@ -28,7 +28,7 @@ from .mdp import (
     _tie_stable_min,
     transition_matrix,
 )
-from .model import PopdmpModel, RelaxedControl
+from .model import PopdmpModel, RelaxedControl, _index_groups
 
 __all__ = [
     "BellmanSweep",
@@ -76,8 +76,7 @@ class BellmanSweep:
     def apply_assignment(self, assign: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One sweep of T_f for a fixed candidate assignment per grid point."""
         out = np.empty(self.grid.n_points)
-        for k in np.unique(assign):
-            sel = np.flatnonzero(assign == k)
+        for k, sel in _index_groups(assign):
             out[sel] = self.gmat[k, sel] + self.mats[k][sel] @ values
         return out
 

@@ -320,9 +320,23 @@ def reference_transition_matrix(ctx, control, kernel, grid, beliefs):
 
 
 @st.composite
-def table_models(draw):
+def table_models(draw, lattice_noise=False):
     d = draw(st.integers(2, 3))
-    states = sorted(draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d, unique=True)))
+    if lattice_noise:
+        # evenly spaced states and a run of offsets on the same lattice with
+        # geometric weights: the end atoms see one state only, and shifting
+        # an observation by one step scales its likelihood row by the ratio
+        step = draw(st.sampled_from([1, 2]))
+        start = draw(st.integers(-4, 0))
+        states = [start + step * i for i in range(d)]
+        first = draw(st.integers(-2, 0))
+        n_off = draw(st.integers(2, 4))
+        offsets = [0.5 * step * (first + j) for j in range(n_off)]
+        ratio = draw(st.sampled_from([1.0, 0.5, 2.0, 3.0]))
+        noise_weights = ratio ** np.arange(n_off)
+        noise_weights = noise_weights / noise_weights.sum()
+    else:
+        states = sorted(draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d, unique=True)))
     cost_nodes = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=4, unique=True)))
     kern_nodes = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=3, unique=True)))
     # dyadic rows: where the flow rests on a plateau, every kernel slice is
@@ -335,15 +349,17 @@ def table_models(draw):
         hazard = draw(st.sampled_from([0.5, 1.0, 1.7]))
     else:
         hazard = [(-1.0, draw(st.floats(0.5, 2.0))), (1.0, draw(st.floats(0.5, 2.0)))]
-    offsets = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=1,
-                            max_size=3, unique=True))
+    if not lattice_noise:
+        offsets = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=1,
+                                max_size=3, unique=True))
+        noise_weights = np.full(len(offsets), 1.0 / len(offsets))
     return P.table_model(
         states=[0.5 * y for y in states],
         cost_table=[(0.5 * y, draw(st.floats(0.0, 5.0))) for y in cost_nodes],
         kernel_table=kernel_table,
         hazard=hazard,
         noise_offsets=offsets,
-        noise_weights=np.full(len(offsets), 1.0 / len(offsets)),
+        noise_weights=noise_weights,
         discount=draw(st.floats(0.5, 2.0)),
     )
 
@@ -370,6 +386,77 @@ def test_time_classes_match_the_per_node_reference(model, action, tau, sigma, se
         ref = reference_transition_matrix(ctx, control, kernel, grid, beliefs)
         assert abs(got - ref).max() <= 1e-13
         assert np.all(got.data != 0.0)
+
+
+def located_rows(build):
+    """Result of ``build()`` and the number of beliefs it passed to
+    ``SimplexGrid.barycentric_batch``."""
+    rows = []
+    locate = P.SimplexGrid.barycentric_batch
+
+    def counting(grid, probs):
+        rows.append(len(probs))
+        return locate(grid, probs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P.SimplexGrid, "barycentric_batch", counting)
+        out = build()
+    return out, sum(rows)
+
+
+def per_atom_posteriors(ctx, control, kernel, beliefs):
+    """Per observation atom, the posteriors the kernel keeps on the time
+    classes: (belief, time class) pairs that pass the mass and floor tests."""
+    tb = ctx.tables(control)
+    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else None
+    c_w, c_b, _ = _time_classes(tb, d_b)
+    un_w = np.einsum("pi,iuc->puc", beliefs, c_w)
+    un_b = np.einsum("pi,iuc->puc", beliefs, c_b)
+    return np.array([np.count_nonzero((np.einsum("u,puc->pc", w, un_w) > 0.0)
+                                      & (np.einsum("u,puc->pc", w, un_b) > _DENOM_FLOOR))
+                     for w in ctx.obs_weights])
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_models(lattice_noise=True), st.floats(-1.0, 1.0), st.floats(0.05, 2.0),
+       st.floats(0.05, 0.3), st.integers(0, 2**32 - 1))
+def test_single_support_atoms_match_the_per_atom_reference(model, action, tau, sigma, seed):
+    # an atom seen from one state only is located once, as its vertex, and
+    # the kernel still equals the per-atom, per-node sum
+    ctx = P.StageContext(model, P.StageQuadrature.for_model(model, h=0.05))
+    single = (ctx.obs_weights > 0.0).sum(axis=1) == 1
+    assert single.any()
+    grid = P.build_simplex_grid(model.n_states, 4)
+    beliefs = np.vstack([grid.points,
+                         np.random.default_rng(seed).dirichlet(np.ones(model.n_states), 5)])
+    control = P.switch_control(action, tau)
+    for kernel in (None, P.RegularizationKernel("gaussian", sigma)):
+        got, located = located_rows(lambda: transition_matrix(ctx, control, kernel, grid, beliefs))
+        ref = reference_transition_matrix(ctx, control, kernel, grid, beliefs)
+        assert abs(got - ref).max() <= 1e-13
+        assert np.all(got.data != 0.0)
+        posteriors = per_atom_posteriors(ctx, control, kernel, beliefs)
+        assert located <= posteriors[~single].sum() + np.count_nonzero(single)
+
+
+def test_steering_single_support_atoms(steering, ctx):
+    # offsets {-1, 0, 1} around states {-2, 0, 2}: x = -3, -2, 0, 2 and 3
+    # are each seen from one state, so 5 of the 7 atoms are located as
+    # vertices and the sweep locates well under half the per-atom posteriors
+    atoms = ctx.obs_weights
+    assert atoms.shape[0] == 7
+    assert np.count_nonzero((atoms > 0.0).sum(axis=1) == 1) == 5
+    family = P.ControlFamily((
+        P.RelaxedControl.constant(0.0),
+        P.switch_control(1.0, 0.5),
+        P.switch_control(-1.0, 0.5),
+        P.RelaxedControl.constant(1.0),
+        P.RelaxedControl.constant(-1.0),
+    ))
+    grid = P.build_simplex_grid(3, 15)
+    _, located = located_rows(lambda: P.BellmanSweep(steering, grid, family, ctx=ctx))
+    per_atom = sum(per_atom_posteriors(ctx, c, None, grid.points).sum() for c in family)
+    assert located <= 0.45 * per_atom
 
 
 def test_compressed_argmins_match_the_uncompressed_reference_k15(steering, monkeypatch):

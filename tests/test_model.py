@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popdmp as P
-from popdmp.model import ControlPath, _piecewise_simpson_nodes
+from popdmp.model import ControlPath, _index_groups, _piecewise_simpson_nodes
 
 
 def toy_model(b=None, hazard=None, hazard_bounds=(1.0, 1.0), cost=None, cost_max=0.0,
@@ -293,6 +293,15 @@ def test_control_path_matches_a_per_point_mixture_loop(control):
                           control.piece_index_at(ts)[:, None])
     assert np.array_equal(swapped.hazard, path.hazard.T)
     assert np.array_equal(swapped.kernel_rows, path.kernel_rows.transpose(1, 0, 2))
+
+
+@given(st.lists(st.integers(0, 4), max_size=40))
+def test_index_groups_match_np_unique(ids):
+    ids = np.array(ids, dtype=np.int64)
+    got = _index_groups(ids)
+    assert [v for v, _ in got] == np.unique(ids).tolist()
+    for v, rows in got:
+        assert np.array_equal(rows, np.flatnonzero(ids == v))
 
 
 # ---------------------------------------------------------------------------
