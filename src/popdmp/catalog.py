@@ -96,14 +96,14 @@ def _q0_rule(states: np.ndarray, noise: NoiseModel, rule) -> callable:
 
 def table_model(states, cost_table, kernel_table, hazard, noise_offsets, noise_weights,
                 discount: float = 1.0, q0="bayes", action_box=(-1.0, 1.0),
-                name: str = "", h_ode: float = 1e-3, h_quad: float = 1e-3) -> PopdmpModel:
+                name: str = "") -> PopdmpModel:
     """One-dimensional model with pure-velocity drift and table data.
 
     ``cost_table`` is a sequence of (y, cost) nodes, ``kernel_table`` a
     sequence of (y, p_1, ..., p_d) rows; both extend flat beyond their end
     nodes.  ``hazard`` is a constant or a (y, rate) table.  Hazard, kernel
     and cost do not depend on the action, so no filter regularization is
-    needed.
+    needed.  Flow and quadrature steps are ``PopdmpModel``'s defaults.
     """
     states = np.asarray(states, dtype=float).reshape(-1, 1)
     d = states.shape[0]
@@ -156,13 +156,11 @@ def table_model(states, cost_table, kernel_table, hazard, noise_offsets, noise_w
         initial_kernel=_q0_rule(states, noise, q0),
         action_box=box,
         hazard_controlled=False,
-        h_ode=h_ode,
-        h_quad=h_quad,
         name=name,
     )
 
 
-def particle_steering_model(q0="bayes", **kwargs) -> PopdmpModel:
+def particle_steering_model(q0="bayes") -> PopdmpModel:
     """The particle-steering benchmark on the real line.
 
     Post-jump states {-2, 0, 2}; speed control in [-1, 1]; unit hazard and
@@ -186,18 +184,17 @@ def particle_steering_model(q0="bayes", **kwargs) -> PopdmpModel:
         q0=q0,
         action_box=(-1.0, 1.0),
         name="particle-steering",
-        **kwargs,
     )
 
 
 BUILTIN_MODELS = {"particle-steering": particle_steering_model}
 
 
-def build_builtin(name: str, **kwargs) -> PopdmpModel:
+def build_builtin(name: str) -> PopdmpModel:
     try:
         builder = BUILTIN_MODELS[name]
     except KeyError:
         raise KeyError(
             f"unknown built-in model {name!r}; available: {sorted(BUILTIN_MODELS)}"
         ) from None
-    return builder(**kwargs)
+    return builder()

@@ -30,7 +30,7 @@ import yaml
 
 from .catalog import BUILTIN_MODELS, build_builtin, table_model
 from .filtering import RegularizationKernel, filter_trajectory
-from .mdp import ControlFamily, StageQuadrature, switch_control, switching_family
+from .mdp import ControlFamily, StageContext, StageQuadrature, switch_control, switching_family
 from .model import ActionMixture, PopdmpModel, RelaxedControl
 from .sim import cross_check, default_horizon, evaluate_policy_mc, simulate_trajectory
 from .solver import (
@@ -182,9 +182,19 @@ class RunConfig:
         sig = sol["sigma"]
         if sig != "plain" and not (isinstance(sig, (int, float)) and sig > 0):
             raise ConfigError("solver.sigma must be 'plain' or a positive bandwidth")
-        for field in ("n_traj",):
-            if not (isinstance(self.resolved["sim"][field], int) and self.resolved["sim"][field] >= 1):
-                raise ConfigError(f"sim.{field} must be a positive integer")
+        sim = self.resolved["sim"]
+        if not (isinstance(sim["n_traj"], int) and sim["n_traj"] >= 1):
+            raise ConfigError("sim.n_traj must be a positive integer")
+        if not (isinstance(sim["seed"], int) and sim["seed"] >= 0):
+            raise ConfigError("sim.seed must be a non-negative integer")
+        sweep = self.resolved["sweep"]
+        if not (isinstance(sweep["grid_k"], int) and sweep["grid_k"] >= 1):
+            raise ConfigError("sweep.grid_k must be a positive integer")
+        sigmas = sweep["sigmas"]
+        if not (isinstance(sigmas, list)
+                and all(isinstance(s, (int, float)) and s > 0 for s in sigmas)
+                and all(b < a for a, b in zip(sigmas, sigmas[1:]))):
+            raise ConfigError("sweep.sigmas must be strictly decreasing positive bandwidths")
 
     # -- builders --------------------------------------------------------------
 
@@ -304,7 +314,8 @@ def _solve(cfg: RunConfig):
     model = cfg.build_model()
     family = cfg.build_family()
     grid = build_simplex_grid(model.n_states, int(cfg.resolved["solver"]["grid_k"]))
-    sweep = BellmanSweep(model, grid, family, kernel=cfg.kernel(), stage=cfg.stage(model))
+    sweep = BellmanSweep(model, grid, family, kernel=cfg.kernel(),
+                         ctx=StageContext(model, cfg.stage(model)))
     vg, report = value_iteration(
         model,
         grid,

@@ -40,7 +40,6 @@ from scipy.integrate import cumulative_simpson
 
 from .filtering import ImpossibleObservationError
 from .grid import ValueGrid, interpolate
-from .mdp import StageQuadrature
 from .model import (_BOUND_TOL, ClosedFormFlow, ControlPath, ModelValidationError, PopdmpModel,
                     RelaxedControl, _index_groups, flow_path)
 from .solver import BellmanSweep, GridPolicy
@@ -58,7 +57,10 @@ __all__ = [
     "cross_check",
 ]
 
+# step of the simulator's path tables
 _SIM_STEP = 1e-3
+# discounted cost neglected past the default horizon
+TRUNCATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -94,12 +96,12 @@ class Trajectory:
     truncated: bool
 
 
-def default_horizon(model: PopdmpModel, truncation_tol: float = 1e-6) -> float:
-    """Horizon H with e^(-beta H) * c_max / beta below the truncation
-    tolerance (with a factor-two margin)."""
+def default_horizon(model: PopdmpModel) -> float:
+    """Horizon H with e^(-beta H) * c_max / beta below ``TRUNCATION_TOL``
+    (with a factor-two margin)."""
     beta = model.discount
-    scale = max(model.cost_max, beta * truncation_tol)
-    return math.log(2.0 * scale / (beta * truncation_tol)) / beta
+    scale = max(model.cost_max, beta * TRUNCATION_TOL)
+    return math.log(2.0 * scale / (beta * TRUNCATION_TOL)) / beta
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +128,15 @@ class SimTables:
     from rebuilding the same entry twice.
     """
 
-    def __init__(self, model: PopdmpModel, span: float, step: float = _SIM_STEP):
+    def __init__(self, model: PopdmpModel, span: float):
         self.model = model
-        self.step = float(step)
-        self._n = max(2, math.ceil(span / self.step)) + 1
+        self._n = max(2, math.ceil(span / _SIM_STEP)) + 1
         self._entries: dict[RelaxedControl, _ControlTables] = {}
         self._lock = threading.Lock()
 
     @property
     def span(self) -> float:
-        return (self._n - 1) * self.step
+        return (self._n - 1) * _SIM_STEP
 
     def ensure(self, control: RelaxedControl) -> _ControlTables:
         tb = self._entries.get(control)
@@ -160,12 +161,12 @@ class SimTables:
 
     def _build(self, control: RelaxedControl) -> _ControlTables:
         model = self.model
-        ts = np.arange(self._n) * self.step
+        ts = np.arange(self._n) * _SIM_STEP
         closed = isinstance(model.drift, ClosedFormFlow) and model.drift.path is not None
         path = ControlPath.from_post_jump_states(model, control, ts)
-        lam_int = cumulative_simpson(path.hazard, dx=self.step, axis=1, initial=0.0)
+        lam_int = cumulative_simpson(path.hazard, dx=_SIM_STEP, axis=1, initial=0.0)
         cum_cost = cumulative_simpson(
-            np.exp(-model.discount * ts)[None, :] * path.cost, dx=self.step, axis=1, initial=0.0
+            np.exp(-model.discount * ts)[None, :] * path.cost, dx=_SIM_STEP, axis=1, initial=0.0
         )
         return _ControlTables(
             control=control,
@@ -180,8 +181,8 @@ class SimTables:
     # -- lookups (linear interpolation on the fine grid) ----------------------
 
     def _frac_index(self, s: np.ndarray):
-        j = np.clip(np.floor(s / self.step).astype(np.int64), 0, self._n - 2)
-        return j, s / self.step - j
+        j = np.clip(np.floor(s / _SIM_STEP).astype(np.int64), 0, self._n - 2)
+        return j, s / _SIM_STEP - j
 
     def position(self, tb: _ControlTables, y_idx: np.ndarray, s: np.ndarray) -> np.ndarray:
         if tb.positions is None:
@@ -437,6 +438,8 @@ class _BatchResult:
     n_jumps: np.ndarray
     beliefs: np.ndarray
     initial_hidden: np.ndarray
+    # arrays of the trajectory, time, next state (-1 marks a horizon-truncated
+    # final segment), observation, candidate and segment cost of each event
     events: dict | None
 
 
@@ -484,7 +487,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
     active = np.ones(n, dtype=bool)
     truncated = np.zeros(n, dtype=bool)
     n_jumps = np.zeros(n, dtype=np.int64)
-    ev_traj, ev_t, ev_y, ev_x, ev_k, ev_seg = [], [], [], [], [], []
+    parts = []  # one tuple of event arrays per recorded group
 
     while active.any():
         rows = np.flatnonzero(active)
@@ -540,13 +543,9 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
                 active[cut] = False
                 truncated[cut] = True
                 if record:
-                    for t_id, sc in zip(cut, seg):
-                        ev_traj.append(-t_id - 1)  # marks an unfinished final segment
-                        ev_t.append(horizon)
-                        ev_y.append(-1)
-                        ev_x.append(np.full(model.space_dim, np.nan))
-                        ev_k.append(k)
-                        ev_seg.append(float(sc))
+                    parts.append((cut, np.full(cut.size, horizon), np.full(cut.size, -1),
+                                  np.full((cut.size, model.space_dim), np.nan),
+                                  np.full(cut.size, k), seg))
 
             jumped = sub[accepted]
             if jumped.size == 0:
@@ -582,26 +581,14 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             y[jumped] = y_next
             n_jumps[jumped] += 1
             if record:
-                ev_traj.extend(jumped.tolist())
-                ev_t.extend(T[jumped].tolist())
-                ev_y.extend(y_next.tolist())
-                ev_x.extend(list(x))
-                ev_k.extend([k] * jumped.size)
-                ev_seg.extend(seg.tolist())
+                parts.append((jumped, T[jumped], y_next, x, np.full(jumped.size, k), seg))
             if max_jumps is not None:
                 done = jumped[n_jumps[jumped] >= max_jumps]
                 active[done] = False
 
     events = None
     if record:
-        events = {
-            "traj": np.asarray(ev_traj, dtype=np.int64),
-            "t": np.asarray(ev_t, dtype=float),
-            "y": np.asarray(ev_y, dtype=np.int64),
-            "x": np.asarray(ev_x, dtype=float).reshape(-1, model.space_dim),
-            "cand": np.asarray(ev_k, dtype=np.int64),
-            "seg": np.asarray(ev_seg, dtype=float),
-        }
+        events = dict(zip(("traj", "t", "y", "x", "cand", "seg"), map(np.concatenate, zip(*parts))))
     return _BatchResult(
         costs=cost, truncated=truncated, n_jumps=n_jumps, beliefs=beliefs,
         initial_hidden=initial_hidden, events=events,
@@ -702,29 +689,15 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
     bank = _StreamBank(seed, np.array([index]))
     res = _simulate_batch(model, driver, tables, bank, 1, x0=x0, y0=y0,
                           horizon=horizon, record=True)
+    # the events are the jumps, then the truncated segment if there is one
     ev = res.events
-    times = [0.0]
-    states = [int(res.initial_hidden[0])]
-    observations = [np.atleast_1d(np.asarray(x0, dtype=float))]
-    controls: list[RelaxedControl] = []
-    seg_costs: list[float] = []
-    jump_rows = np.flatnonzero(ev["traj"] >= 0)
-    for r in jump_rows:
-        times.append(float(ev["t"][r]))
-        states.append(int(ev["y"][r]))
-        observations.append(ev["x"][r])
-        controls.append(driver.controls[int(ev["cand"][r])])
-        seg_costs.append(float(ev["seg"][r]))
-    cut_rows = np.flatnonzero(ev["traj"] < 0)
-    for r in cut_rows:
-        controls.append(driver.controls[int(ev["cand"][r])])
-        seg_costs.append(float(ev["seg"][r]))
+    jumps = slice(int(res.n_jumps[0]))
     return Trajectory(
-        times=times,
-        states=states,
-        observations=observations,
-        controls=controls,
-        segment_costs=seg_costs,
+        times=[0.0] + ev["t"][jumps].tolist(),
+        states=[int(res.initial_hidden[0])] + ev["y"][jumps].tolist(),
+        observations=[np.atleast_1d(np.asarray(x0, dtype=float))] + list(ev["x"][jumps]),
+        controls=[driver.controls[k] for k in ev["cand"].tolist()],
+        segment_costs=ev["seg"].tolist(),
         total_cost=float(res.costs[0]),
         truncated=bool(res.truncated[0]),
     )
@@ -790,26 +763,25 @@ class CrossCheckReport:
 
 def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: int,
                 seed: int = 0, horizon: float | None = None,
-                stage: StageQuadrature | None = None, kernel=None,
-                workers: int = 1, sweep: BellmanSweep | None = None,
-                bias_tol: float | None = None) -> CrossCheckReport:
+                workers: int = 1, sweep: BellmanSweep | None = None) -> CrossCheckReport:
     """Compare Monte Carlo continuous-time cost against the filtered-MDP
     policy value (the T_f fixed point) at each initial observation.
 
-    The simulator always filters with the exact Bayes update, also for a
-    policy solved with a regularization kernel.  With ``kernel`` the MDP
-    side is the regularized policy value while the simulated controller
-    tracks the exact posterior, so the z-scores then also carry the gap
-    between the two filters, which shrinks with the bandwidth.
+    The MDP side uses ``sweep`` (default: the plain filter's), which must
+    be built for the policy's grid and family and brings its regularization
+    kernel and stage quadrature.  The simulator always filters with the
+    exact Bayes update, so with a regularized sweep the z-scores also carry
+    the gap between the two filters, which shrinks with the bandwidth.
 
-    The z denominator combines the Monte Carlo standard error with a small
-    numerical-accuracy allowance (default ``1e-3 * (1 + |value|)``) covering
+    The z denominator combines the Monte Carlo standard error with a fixed
+    numerical-accuracy allowance of ``1e-3 * (1 + |value|)`` covering
     quadrature and path-interpolation bias on both sides; without it,
     policies with (near-)deterministic cost would turn microscopic quadrature
     bias into arbitrarily large z-scores.
     """
     if sweep is None:
-        sweep = BellmanSweep(model, policy.grid, policy.family, kernel=kernel, stage=stage)
+        sweep = BellmanSweep(model, policy.grid, policy.family)
+    sweep.require_built_for(policy.grid, policy.family)
     v_policy = sweep.policy_fixed_point(policy.argmins)
     vg = ValueGrid(policy.grid, v_policy)
     rows = []
@@ -820,8 +792,7 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
         mc, se = evaluate_policy_mc(model, x0, policy, n_traj, seed + k,
                                     horizon=horizon, workers=workers)
         diff = mc - v_mdp
-        floor = bias_tol if bias_tol is not None else 1e-3 * (1.0 + abs(v_mdp))
-        z = diff / math.hypot(se, floor)
+        z = diff / math.hypot(se, 1e-3 * (1.0 + abs(v_mdp)))
         rows.append(CrossCheckRow(x0=float(np.atleast_1d(x0)[0]), mc_mean=mc, stderr=se,
                                   mdp_value=v_mdp, z=z))
     return CrossCheckReport(rows=rows)

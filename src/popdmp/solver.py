@@ -45,20 +45,25 @@ __all__ = [
 ]
 
 
+# the policy fixed point stops at a sup-norm step below FIXED_POINT_TOL
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 10_000
+
+
 class BellmanSweep:
     """Grid-restricted Bellman operator, one (cost vector, sparse matrix)
-    pair per candidate control."""
+    pair per candidate control, for the regularization kernel (None: plain
+    filter) and the stage quadrature of ``ctx`` (default ``StageContext(model)``)."""
 
     def __init__(self, model: PopdmpModel, grid: SimplexGrid, family: ControlFamily,
                  kernel: RegularizationKernel | None = None,
-                 stage: StageQuadrature | None = None,
                  ctx: StageContext | None = None):
         _require_kernel_policy(model, kernel)
         self.model = model
         self.grid = grid
         self.family = family
         self.kernel = kernel
-        self.ctx = ctx if ctx is not None else StageContext(model, stage)
+        self.ctx = ctx if ctx is not None else StageContext(model)
         if grid.dim != model.n_states:
             raise ValueError("grid dimension must match the number of post-jump states")
         self.gmat = np.stack([grid.points @ self.ctx.tables(c).g for c in family])
@@ -80,17 +85,23 @@ class BellmanSweep:
             out[sel] = self.gmat[k, sel] + self.mats[k][sel] @ values
         return out
 
-    def policy_fixed_point(self, assign: np.ndarray, tol: float = 1e-10,
-                           max_iter: int = 10_000) -> np.ndarray:
+    def policy_fixed_point(self, assign: np.ndarray) -> np.ndarray:
         """Value of the stationary policy given by a candidate assignment."""
         v = np.zeros(self.grid.n_points)
-        for _ in range(max_iter):
+        for _ in range(FIXED_POINT_MAX_ITER):
             nxt = self.apply_assignment(assign, v)
             delta = float(np.max(np.abs(nxt - v)))
             v = nxt
-            if delta < tol:
+            if delta < FIXED_POINT_TOL:
                 break
         return v
+
+    def require_built_for(self, grid: SimplexGrid, family: ControlFamily) -> None:
+        """Raise ValueError unless built on a grid of ``grid``'s dimension
+        and subdivisions and for ``family``."""
+        built = (self.grid.dim, self.grid.subdivisions, self.family)
+        if built != (grid.dim, grid.subdivisions, family):
+            raise ValueError("sweep was built for another grid or control family")
 
 
 @dataclass
@@ -104,20 +115,19 @@ class SolveReport:
 
 
 def value_iteration(model: PopdmpModel, grid: SimplexGrid, family: ControlFamily,
-                    kernel: RegularizationKernel | None = None,
                     tol: float = 1e-4, max_iter: int = 200,
-                    stage: StageQuadrature | None = None,
-                    ctx: StageContext | None = None,
                     sweep: BellmanSweep | None = None) -> tuple[ValueGrid, SolveReport]:
     """Iterate V_{n+1} = T V_n from zero until the sup-norm step drops below
     tol; on max_iter the partial result is returned with converged=False.
     The returned argmins are greedy for the returned values: they come from
-    the closing sweep T V that also gives the final residual."""
+    the closing sweep T V that also gives the final residual.  ``sweep``
+    (default: the plain filter's) must be built for ``grid`` and ``family``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     if sweep is None:
-        sweep = BellmanSweep(model, grid, family, kernel=kernel, stage=stage, ctx=ctx)
+        sweep = BellmanSweep(model, grid, family)
+    sweep.require_built_for(grid, family)
     values = np.zeros(grid.n_points)
     residuals: list[float] = []
     converged = False
@@ -195,15 +205,17 @@ def sigma_sweep(model: PopdmpModel, grid: SimplexGrid, family: ControlFamily,
     sig = [float(s) for s in sigmas]
     if any(b >= a for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly decreasing")
+    # one stage context, so every candidate's stage tables are built once
     ctx = StageContext(model, stage)
     plain_vg, plain_report = value_iteration(
-        model, grid, family, kernel=None, tol=tol, max_iter=max_iter, ctx=ctx
+        model, grid, family, tol=tol, max_iter=max_iter,
+        sweep=BellmanSweep(model, grid, family, ctx=ctx),
     )
     rows = []
     for s in sig:
         vg, _ = value_iteration(
-            model, grid, family, kernel=RegularizationKernel(kind, s),
-            tol=tol, max_iter=max_iter, ctx=ctx,
+            model, grid, family, tol=tol, max_iter=max_iter,
+            sweep=BellmanSweep(model, grid, family, kernel=RegularizationKernel(kind, s), ctx=ctx),
         )
         gap = float(np.max(np.abs(vg.values - plain_vg.values)))
         agree = float(np.mean(vg.argmins == plain_vg.argmins))

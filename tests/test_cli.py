@@ -270,15 +270,95 @@ def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
     assert len(builds) == 1
     monkeypatch.undo()
 
-    # the library route builds its own operator for the cross-check
+    # the library route, with one operator for the solve and the cross-check
     model = P.particle_steering_model()
     family = P.switching_family(taus=[0.5, 1.0])
+    grid = P.build_simplex_grid(3, 4)
     stage = P.StageQuadrature(t_max=8.0, h=0.05)
-    vg, _ = P.value_iteration(model, P.build_simplex_grid(3, 4), family, tol=1e-3, stage=stage)
+    sweep = P.BellmanSweep(model, grid, family, ctx=P.StageContext(model, stage))
+    vg, _ = P.value_iteration(model, grid, family, tol=1e-3, sweep=sweep)
     report = P.cross_check(model, P.extract_policy(vg, family), [-2.0, 0.0], n_traj=300, seed=11,
-                           horizon=P.default_horizon(model), stage=stage)
+                           horizon=P.default_horizon(model), sweep=sweep)
     expected = ["x0,mc_mean,stderr,mdp_value,z"] + [
         ",".join(f"{v:.9g}" for v in (r.x0, r.mc_mean, r.stderr, r.mdp_value, r.z))
         for r in report.rows
     ]
     assert (tmp_path / "out" / "zscores.csv").read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("command, doc, args, key", [
+    ("simulate", {}, ["--seed", "-1"], "sim.seed"),
+    ("simulate", {"sim": {"seed": -5}}, [], "sim.seed"),
+    ("sweep", {"sweep": {"grid_k": 0}}, [], "sweep.grid_k"),
+    ("sweep", {"sweep": {"sigmas": [0.1, 0.2], "grid_k": 3}}, [], "sweep.sigmas"),
+    ("sweep", {"sweep": {"sigmas": [0.2, -0.1], "grid_k": 3}}, [], "sweep.sigmas"),
+    ("sweep", {"sweep": {"sigmas": 0.1, "grid_k": 3}}, [], "sweep.sigmas"),
+])
+def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key):
+    # each of these used to reach the library and end in a traceback
+    sim = {"n_traj": 20, "policy": {"kind": "constant", "a": 0.0}, "record_trajectories": 1}
+    cfg_path = write_cfg(tmp_path / "cfg.yaml", {
+        "solver": FAST_SOLVER, "output": {"directory": str(tmp_path / "out")},
+        **doc, "sim": {**sim, **doc.get("sim", {})},
+    })
+    result = CliRunner().invoke(main, [command, "--config", cfg_path, *args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert key in result.output
+
+
+def test_filter_command_with_sigma_writes_the_library_beliefs(tmp_path):
+    cfg_path = write_cfg(tmp_path / "cfg.yaml", {"output": {"directory": str(tmp_path / "out")}})
+    events = [
+        (P.RelaxedControl.constant(-1.0), 0.4, 1.0),
+        (P.switch_control(1.0, 0.5), 1.0, 1.0),
+        (P.RelaxedControl.from_pieces([(0.0, P.ActionMixture.of([(1.0, 0.25), (-1.0, 0.75)])),
+                                       (0.6, 0.5)]), 0.5, -1.0),
+    ]
+    log = tmp_path / "events.csv"
+    log.write_text("r_piece_spec,s,x\n" + "".join(
+        f"{format_control(c)},{s},{x}\n" for c, s, x in events))
+    result = CliRunner().invoke(main, ["filter", "--config", cfg_path, "--events", str(log),
+                                       "--x0", "1", "--sigma", "0.1"])
+    assert result.exit_code == 0, result.output
+    beliefs = P.filter_trajectory(P.particle_steering_model(), 1.0, events,
+                                  kernel=P.RegularizationKernel("gaussian", 0.1))
+    expected = ["step,mu_1,mu_2,mu_3"] + [
+        ",".join([str(n)] + [f"{p:.9g}" for p in b.probs]) for n, b in enumerate(beliefs)
+    ]
+    assert (tmp_path / "out" / "beliefs.csv").read_text().splitlines() == expected
+
+
+def test_simulate_with_the_default_policy_taus_and_quadrature_forms(tmp_path):
+    # the solved policy, the {start, stop, step} switch times and the
+    # automatic quadrature range are the defaults; the switch policy is the
+    # other kind no other test runs
+    solver = {"grid_k": 5, "family": {"taus": {"start": 0.5, "stop": 1.0, "step": 0.5}},
+              "quadrature": {"h": 0.05}}
+    sim = {"n_traj": 800, "seed": 5, "x0": -2.0, "record_trajectories": 2}
+    model = P.particle_steering_model()
+    family = P.switching_family(taus=[0.5, 1.0])
+    grid = P.build_simplex_grid(3, 5)
+    stage = P.StageQuadrature.for_model(model, h=0.05)
+    sweep = P.BellmanSweep(model, grid, family, ctx=P.StageContext(model, stage))
+    vg, _ = P.value_iteration(model, grid, family, sweep=sweep)
+    policies = {"solved": P.extract_policy(vg, family), "switch": P.switch_control(-1.0, 0.25)}
+    for kind, policy in policies.items():
+        out = tmp_path / kind
+        cfg_path = write_cfg(tmp_path / f"{kind}.yaml", {
+            "solver": solver, "output": {"directory": str(out)},
+            "sim": dict(sim, policy={"kind": kind, "a": -1.0, "tau": 0.25}),
+        })
+        result = CliRunner().invoke(main, ["simulate", "--config", cfg_path])
+        assert result.exit_code == 0, result.output
+        doc = yaml.safe_load((out / "resolved_config.yaml").read_text())
+        assert doc["solver"]["quadrature"]["t_max"] == "auto"
+        mean, se = P.evaluate_policy_mc(model, -2.0, policy, 800, 5)
+        assert (out / "evaluation.csv").read_text().splitlines()[1] == (
+            f"-2,800,5,{mean:.9g},{se:.9g}")
+        rows = (out / "trajectories.csv").read_text().splitlines()[1:]
+        for i in range(2):
+            traj = P.simulate_trajectory(model, -2.0, policy, (5, i))
+            mine = [r for r in rows if r.startswith(f"{i},")]
+            assert len(mine) == len(traj.times)
+            assert mine[-1].split(",")[2] == f"{traj.times[-1]:.9g}"

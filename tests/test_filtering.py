@@ -241,6 +241,65 @@ def test_filter_trajectory_reports_event_index(steering_uniform_q0):
         P.filter_trajectory(steering_uniform_q0, 0.0, [ok, bad])
 
 
+def steering_regularized_closed_form(x0, events, sigma):
+    """Regularized filter of the steering model written out by hand: unit
+    hazard and discount, so the jump density from y_i at time u is
+    e^{-2u} Q(y_i + displacement(u), y_j) p(x - y_j), with the jump kernel Q
+    linear between its plateaus e_1 (below -2), e_2 (on [-1.5, 1.5]) and
+    e_3 (above 2) and p uniform on the offsets {-1, 0, 1}; the time argument
+    is smoothed by the gaussian of bandwidth sigma, truncated at five
+    bandwidths and at zero, by composite Simpson with step at most
+    min(sigma / 8, 0.02) over at least 8 panels."""
+    states = np.array([-2.0, 0.0, 2.0])
+
+    def noise(x):
+        off = x - states
+        return np.where(np.isin(off, [-1.0, 0.0, 1.0]), 1.0 / 3.0, 0.0)
+
+    mu = noise(x0) / noise(x0).sum()
+    out = [mu]
+    for control, s, x in events:
+        lo, hi = max(0.0, s - 5.0 * sigma), s + 5.0 * sigma
+        npan = max(8, 2 * math.ceil((hi - lo) / (2.0 * min(sigma / 8.0, 0.02))))
+        u = np.linspace(lo, hi, npan + 1)
+        simpson = np.full(npan + 1, 2.0)
+        simpson[1::2] = 4.0
+        simpson[0] = simpson[-1] = 1.0
+        gauss = np.exp(-0.5 * ((s - u) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        coeff = simpson * (hi - lo) / npan / 3.0 * gauss
+        starts = np.array([0.0, *control.breaks])
+        ends = np.append(starts[1:], np.inf)
+        shift = sum(mix.mean_action()[0] * np.clip(u - a, 0.0, b - a)
+                    for a, b, mix in zip(starts, ends, control.pieces))
+        pos = states[None, :] + shift[:, None]                   # (node, i)
+        left = np.clip((-1.5 - pos) / 0.5, 0.0, 1.0)
+        right = np.clip((pos - 1.5) / 0.5, 0.0, 1.0)
+        kern = np.stack([left, 1.0 - left - right, right], axis=-1)  # (node, i, j)
+        numer = np.einsum("k,i,kij->j", coeff * np.exp(-2.0 * u), mu, kern) * noise(x)
+        mu = numer / numer.sum()
+        out.append(mu)
+    return np.array(out)
+
+
+def test_regularized_filter_trajectory_matches_the_closed_form(steering):
+    # observations +-1 are explained by two states, and positions that
+    # cross 1.5 or -1.5 split the kernel, so the beliefs stay mixed
+    mix = P.ActionMixture.of([(1.0, 0.25), (-1.0, 0.75)])
+    events = [
+        (P.RelaxedControl.constant(-1.0), 0.4, 1.0),
+        (P.RelaxedControl.constant(-0.5), 0.6, 1.0),
+        (P.switch_control(1.0, 0.5), 1.0, 1.0),
+        (P.RelaxedControl.from_pieces([(0.0, mix), (0.6, 0.5)]), 0.5, -1.0),
+        (P.RelaxedControl.constant(-1.0), 1.7, -1.0),
+    ]
+    for sigma in (0.1, 0.03):
+        beliefs = P.filter_trajectory(steering, 1.0, events,
+                                      kernel=P.RegularizationKernel("gaussian", sigma))
+        ref = steering_regularized_closed_form(1.0, events, sigma)
+        assert np.abs(np.array([b.probs for b in beliefs]) - ref).max() <= 1e-9
+        assert np.count_nonzero(ref.max(axis=1) < 0.99) >= 4
+
+
 def test_filter_matches_simulated_conditional_frequencies(steering_uniform_q0):
     m = steering_uniform_q0
     r = P.RelaxedControl.constant(1.0)

@@ -473,10 +473,13 @@ def test_compressed_argmins_match_the_uncompressed_reference_k15(steering, monke
     grid = P.build_simplex_grid(3, 15)
     ctx = P.StageContext(steering)
     kernels = [None] + [P.RegularizationKernel("gaussian", s) for s in (0.2, 0.1, 0.05)]
-    solved = [P.value_iteration(steering, grid, family, kernel=k, ctx=ctx)[0] for k in kernels]
+    solved = [P.value_iteration(steering, grid, family,
+                                sweep=P.BellmanSweep(steering, grid, family, kernel=k, ctx=ctx))[0]
+              for k in kernels]
     monkeypatch.setattr(solver_module, "transition_matrix", reference_transition_matrix)
     for kernel, vg in zip(kernels, solved):
-        ref, _ = P.value_iteration(steering, grid, family, kernel=kernel, ctx=ctx)
+        sweep = P.BellmanSweep(steering, grid, family, kernel=kernel, ctx=ctx)
+        ref, _ = P.value_iteration(steering, grid, family, sweep=sweep)
         assert np.abs(ref.values - vg.values).max() <= 1e-12
         assert np.array_equal(ref.argmins, vg.argmins)
 

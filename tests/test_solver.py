@@ -174,6 +174,55 @@ def test_sigma_sweep_rejects_controlled_hazard():
         P.sigma_sweep(m, grid, fam, [0.1])
 
 
+def five_candidates():
+    return P.ControlFamily((
+        P.RelaxedControl.constant(0.0),
+        P.switch_control(1.0, 0.5),
+        P.switch_control(-1.0, 0.5),
+        P.RelaxedControl.constant(1.0),
+        P.RelaxedControl.constant(-1.0),
+    ))
+
+
+def test_sigma_sweep_builds_each_stage_table_once(steering, monkeypatch):
+    import popdmp.mdp as mdp
+
+    built = []
+    build = mdp.build_tables
+
+    def counting_build(model, control, stage):
+        built.append(control)
+        return build(model, control, stage)
+
+    monkeypatch.setattr(mdp, "build_tables", counting_build)
+    family = five_candidates()
+    P.sigma_sweep(steering, P.build_simplex_grid(3, 4), family, [0.2, 0.1, 0.05], tol=1e-3)
+    assert len(built) == len(family)
+
+
+def test_a_sweep_for_another_grid_or_family_is_rejected(steering):
+    # a sweep's rows follow its own family order and grid, so a mismatched
+    # one would silently solve or evaluate another problem
+    family = five_candidates()
+    grid = P.build_simplex_grid(3, 6)
+    vg, _ = P.value_iteration(steering, grid, family, tol=1e-4)
+    policy = P.extract_policy(vg, family)
+    mismatched = [P.BellmanSweep(steering, grid, P.ControlFamily(family.candidates[::-1])),
+                  P.BellmanSweep(steering, P.build_simplex_grid(3, 5), family)]
+    for sweep in mismatched:
+        with pytest.raises(ValueError, match="built"):
+            P.value_iteration(steering, grid, family, tol=1e-4, sweep=sweep)
+        with pytest.raises(ValueError, match="built"):
+            P.cross_check(steering, policy, [-2.0, 0.0], n_traj=20, seed=1, sweep=sweep)
+    # an equal grid and family built separately are accepted
+    same = P.BellmanSweep(steering, P.build_simplex_grid(3, 6), five_candidates())
+    again, _ = P.value_iteration(steering, grid, family, tol=1e-4, sweep=same)
+    assert np.array_equal(again.values, vg.values)
+    checked = [P.cross_check(steering, policy, [-2.0], n_traj=20, seed=1, sweep=sweep).rows
+               for sweep in (same, None)]
+    assert checked[0] == checked[1]
+
+
 def test_controlled_hazard_solves_with_mandatory_regularization():
     from test_mdp import controlled_hazard_model
 
@@ -186,8 +235,8 @@ def test_controlled_hazard_solves_with_mandatory_regularization():
     ))
     with pytest.raises(ValueError):
         P.value_iteration(m, grid, fam, tol=1e-4)
-    vg, report = P.value_iteration(m, grid, fam, tol=1e-4,
-                                   kernel=P.RegularizationKernel("gaussian", 0.1))
+    sweep = P.BellmanSweep(m, grid, fam, kernel=P.RegularizationKernel("gaussian", 0.1))
+    vg, report = P.value_iteration(m, grid, fam, tol=1e-4, sweep=sweep)
     assert report.converged
     assert vg.values.min() >= 0.0
     assert vg.values.max() <= m.cost_max / m.discount + 1e-9
