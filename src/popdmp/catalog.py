@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .filtering import ImpossibleObservationError
 from .model import (ClosedFormFlow, ModelValidationError, NoiseModel, PopdmpModel,
                     RelaxedControl, VectorField)
 
@@ -83,7 +84,8 @@ def _q0_rule(states: np.ndarray, noise: NoiseModel, rule) -> callable:
             w = noise.density(x - states)
             s = w.sum()
             if s <= 0:
-                raise ValueError(f"observation {x} is unreachable: no state explains it")
+                raise ImpossibleObservationError(
+                    f"observation {x} is unreachable: no state explains it")
             return w / s
 
         return bayes

@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from .catalog import BUILTIN_MODELS, build_builtin, table_model
-from .filtering import RegularizationKernel, filter_trajectory
+from .filtering import ImpossibleObservationError, RegularizationKernel, filter_trajectory
 from .mdp import ControlFamily, StageContext, StageQuadrature, switch_control, switching_family
 from .model import ActionMixture, PopdmpModel, RelaxedControl
 from .sim import cross_check, default_horizon, evaluate_policy_mc, simulate_trajectory
@@ -309,9 +309,16 @@ def _apply_overrides(cfg: RunConfig, grid_k, tol, sigma, seed, workers) -> RunCo
 # solve machinery shared by subcommands
 
 
-def _solve(cfg: RunConfig):
+def _check_observation(model: PopdmpModel, x0, key: str) -> None:
+    """An initial observation must be explained by some post-jump state."""
+    try:
+        model.initial_kernel(np.atleast_1d(np.asarray(x0, dtype=float)))
+    except ImpossibleObservationError as err:
+        raise ConfigError(f"{key}: {err}") from None
+
+
+def _solve(cfg: RunConfig, model: PopdmpModel):
     """Build the Bellman operator once and iterate it to the fixed point."""
-    model = cfg.build_model()
     family = cfg.build_family()
     grid = build_simplex_grid(model.n_states, int(cfg.resolved["solver"]["grid_k"]))
     sweep = BellmanSweep(model, grid, family, kernel=cfg.kernel(),
@@ -324,7 +331,7 @@ def _solve(cfg: RunConfig):
         max_iter=int(cfg.resolved["solver"]["max_iter"]),
         sweep=sweep,
     )
-    return model, family, sweep, vg, report
+    return family, sweep, vg, report
 
 
 def _write_policy_csv(vg, family, path) -> None:
@@ -377,7 +384,7 @@ def _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers):
 def solve(config_path, out_dir, grid_k, tol, sigma, seed, workers):
     """Run value iteration and write value.csv, policy.csv, report.csv."""
     cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
-    model, family, _, vg, report = _solve(cfg)
+    family, _, vg, report = _solve(cfg, cfg.build_model())
     write_value_csv(vg, out / "value.csv")
     _write_policy_csv(vg, family, out / "policy.csv")
     write_report_csv(report, out / "report.csv")
@@ -398,9 +405,10 @@ def simulate(config_path, out_dir, grid_k, tol, sigma, seed, workers):
     cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
     model = cfg.build_model()
     sim_cfg = cfg.resolved["sim"]
+    _check_observation(model, sim_cfg["x0"], "sim.x0")
     pol_cfg = sim_cfg["policy"]
     if pol_cfg["kind"] == "solved":
-        _, family, _, vg, _ = _solve(cfg)
+        family, _, vg, _ = _solve(cfg, model)
         policy = extract_policy(vg, family)
     elif pol_cfg["kind"] == "constant":
         policy = RelaxedControl.constant(float(pol_cfg["a"]))
@@ -449,14 +457,20 @@ def filter_cmd(events_path, x0, config_path, out_dir, grid_k, tol, sigma, seed, 
     events = []
     try:
         with open(events_path) as fh:
-            for row in csv.DictReader(fh):
-                events.append(
-                    (parse_control(row["r_piece_spec"]), float(row["s"]), float(row["x"]))
-                )
+            for n, row in enumerate(csv.DictReader(fh)):
+                s = float(row["s"])
+                if not s > 0:
+                    raise ConfigError(f"bad event log {events_path}: event {n}: "
+                                      "inter-jump time s must be positive")
+                events.append((parse_control(row["r_piece_spec"]), s, float(row["x"])))
     except (KeyError, ValueError) as err:
         raise ConfigError(f"bad event log {events_path}: {err}") from None
     x0_val = float(cfg.resolved["sim"]["x0"]) if x0 is None else float(x0)
-    beliefs = filter_trajectory(model, x0_val, events, kernel=cfg.kernel())
+    _check_observation(model, x0_val, "sim.x0" if x0 is None else "--x0")
+    try:
+        beliefs = filter_trajectory(model, x0_val, events, kernel=cfg.kernel())
+    except ImpossibleObservationError as err:
+        raise ConfigError(f"event log {events_path}: {err}") from None
     with open(out / "beliefs.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step"] + [f"mu_{i + 1}" for i in range(model.n_states)])
@@ -472,13 +486,17 @@ def crosscheck(config_path, out_dir, grid_k, tol, sigma, seed, workers):
     """Solve, then compare Monte Carlo cost of the solved policy against the
     filtered-MDP value; write zscores.csv.  Exits nonzero if any |z| >= 4."""
     cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
-    model, family, sweep, vg, report = _solve(cfg)
+    model = cfg.build_model()
+    observations = [float(v) for v in cfg.resolved["crosscheck"]["observations"]]
+    for x0 in observations:
+        _check_observation(model, x0, "crosscheck.observations")
+    family, sweep, vg, _ = _solve(cfg, model)
     policy = extract_policy(vg, family)
     sim_cfg = cfg.resolved["sim"]
     report_cc = cross_check(
         model,
         policy,
-        [float(v) for v in cfg.resolved["crosscheck"]["observations"]],
+        observations,
         n_traj=int(sim_cfg["n_traj"]),
         seed=int(sim_cfg["seed"]),
         horizon=cfg.horizon(model),

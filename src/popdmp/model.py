@@ -55,6 +55,10 @@ class ModelValidationError(ValueError):
 
 # slack on the declared hazard and cost bounds, at validation and at run time
 _BOUND_TOL = 1e-9
+# largest RK4 step of a vector-field flow and largest Simpson step of a
+# hazard integral
+H_ODE = 1e-3
+H_QUAD = 1e-3
 
 
 def _as_vector(x) -> np.ndarray:
@@ -278,8 +282,6 @@ class PopdmpModel:
     initial_kernel: Callable[[np.ndarray], np.ndarray]
     action_box: np.ndarray  # (m, 2)
     hazard_controlled: bool = False
-    h_ode: float = 1e-3
-    h_quad: float = 1e-3
     name: str = ""
 
     def __post_init__(self):
@@ -403,7 +405,7 @@ def flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarr
     """Controlled flow evaluated along sorted times >= 0; returns (n, D).
 
     Closed-form drifts are evaluated directly.  Vector fields are integrated
-    with fixed-step RK4 (step <= model.h_ode), restarting at control
+    with fixed-step RK4 (step <= H_ODE), restarting at control
     breakpoints so each step sees a constant mixture.
     """
     model.check_control(control)
@@ -435,7 +437,7 @@ def flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarr
     for a, b in zip(knots[:-1], knots[1:]):
         mix = control.mixture_at(0.5 * (a + b))
         span = b - a
-        nsteps = max(1, math.ceil(span / model.h_ode))
+        nsteps = max(1, math.ceil(span / H_ODE))
         h = span / nsteps
         for _ in range(nsteps):
             k1 = mixture_velocity(field, state, mix)
@@ -489,12 +491,6 @@ def _simpson_nodes(control: RelaxedControl, cuts, h: float):
     weights = pattern * (step / 3.0)[seg]
     pieces = control.piece_index_at(0.5 * (cuts[:-1] + cuts[1:]))[seg]
     return nodes, weights, pieces, seg
-
-
-def _piecewise_simpson_nodes(control: RelaxedControl, t: float, h: float):
-    """Simpson nodes, weights and piece index on [0, t], split at breakpoints."""
-    cuts = [0.0] + [b for b in control.breaks if 0.0 < b < t] + [float(t)]
-    return _simpson_nodes(control, cuts, h)[:3]
 
 
 def _index_groups(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -576,11 +572,7 @@ class ControlPath:
 
 def big_lambda(model: PopdmpModel, y, control: RelaxedControl, t: float) -> float:
     """Integrated mixture hazard Lambda^r(y, t) by composite Simpson."""
-    if t < 0:
-        raise ValueError("big_lambda requires t >= 0")
-    nodes, weights, piece_of = _piecewise_simpson_nodes(control, t, model.h_quad)
-    lam = ControlPath(model, control, flow_path(model, y, control, nodes), piece_of).hazard
-    return float(weights @ lam)
+    return float(_lambda_paths(model, [y], control, [float(t)])[0, 0])
 
 
 def _lambda_paths(model: PopdmpModel, starts, control: RelaxedControl, times) -> np.ndarray:
@@ -588,7 +580,7 @@ def _lambda_paths(model: PopdmpModel, starts, control: RelaxedControl, times) ->
 
     The quadrature places sub-interval boundaries at every requested time and
     every control breakpoint, so each returned value is a full composite
-    Simpson integral with step <= model.h_quad.
+    Simpson integral with step <= H_QUAD.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1:
@@ -602,7 +594,7 @@ def _lambda_paths(model: PopdmpModel, starts, control: RelaxedControl, times) ->
     cuts = np.unique(
         np.concatenate([[0.0, t_end], ts, [b for b in control.breaks if 0.0 < b < t_end]])
     )
-    nodes, weights, pieces, seg = _simpson_nodes(control, cuts, model.h_quad)
+    nodes, weights, pieces, seg = _simpson_nodes(control, cuts, H_QUAD)
     pos = np.stack([flow_path(model, y, control, nodes) for y in starts])
     lam = ControlPath(model, control, pos, pieces).hazard
     n_seg = cuts.size - 1

@@ -121,16 +121,18 @@ class _ControlTables:
 
 class SimTables:
     """Flow, hazard-integral and discounted-cost paths per control on a fine
-    shared grid, grown on demand when a sampled jump time falls beyond it.
+    shared grid covering ``[0, horizon]``, the reach of every engine run.
 
-    Regrowth extends the grid (old nodes are a prefix of the new ones, so
-    values at existing times are unchanged); a lock keeps concurrent chunks
-    from rebuilding the same entry twice.
+    Moving the horizon out, between runs only, extends the grid (old nodes
+    are a prefix of the new ones, and values at old interior nodes are
+    unchanged) and rebuilds every entry.  A lock keeps concurrent chunks
+    from building the same entry twice.
     """
 
-    def __init__(self, model: PopdmpModel, span: float):
+    def __init__(self, model: PopdmpModel, horizon: float):
         self.model = model
-        self._n = max(2, math.ceil(span / _SIM_STEP)) + 1
+        self.horizon = float(horizon)
+        self._n = max(2, math.ceil(self.horizon / _SIM_STEP)) + 1
         self._entries: dict[RelaxedControl, _ControlTables] = {}
         self._lock = threading.Lock()
 
@@ -148,13 +150,12 @@ class SimTables:
                     self._entries[control] = tb
         return tb
 
-    def ensure_span(self, needed: float) -> None:
-        if needed <= self.span:
-            return
+    def ensure_span(self, horizon: float) -> None:
         with self._lock:
-            if needed <= self.span:
+            self.horizon = max(self.horizon, float(horizon))
+            if self.horizon <= self.span:
                 return
-            while self.span < needed:
+            while self.span < self.horizon:
                 self._n = int(self._n * 1.6) + 2
             for control in list(self._entries):
                 self._entries[control] = self._build(control)
@@ -178,44 +179,25 @@ class SimTables:
             cum_cost=cum_cost,
         )
 
-    # -- lookups (linear interpolation on the fine grid) ----------------------
+    # -- lookups ---------------------------------------------------------------
 
-    def _frac_index(self, s: np.ndarray):
+    def lerp(self, table: np.ndarray, s: np.ndarray, y_idx=None) -> np.ndarray:
+        """A (d, n, ...) table at times ``s`` by linear interpolation on the
+        grid: in rows ``y_idx``, (m, ...), or in every state row, (m, d, ...)."""
         j = np.clip(np.floor(s / _SIM_STEP).astype(np.int64), 0, self._n - 2)
-        return j, s / _SIM_STEP - j
+        w = s / _SIM_STEP - j
+        if y_idx is None:
+            y_idx, j, w = np.arange(table.shape[0]), j[:, None], w[:, None]
+        w = w.reshape(w.shape + (1,) * (table.ndim - 2))
+        return table[y_idx, j] * (1.0 - w) + table[y_idx, j + 1] * w
 
-    def position(self, tb: _ControlTables, y_idx: np.ndarray, s: np.ndarray) -> np.ndarray:
-        if tb.positions is None:
-            out = np.empty((s.size, self.model.space_dim))
-            for i, sel in _index_groups(y_idx):
-                out[sel] = self.model.drift.path(
-                    self.model.post_jump_states[i], tb.control, s[sel]
-                )
-            return out
-        j, w = self._frac_index(s)
-        p = tb.positions
-        return p[y_idx, j] * (1.0 - w)[:, None] + p[y_idx, j + 1] * w[:, None]
-
-    def position_all(self, tb: _ControlTables, s: np.ndarray) -> np.ndarray:
-        d = self.model.n_states
-        if tb.positions is None:
-            out = np.empty((s.size, d, self.model.space_dim))
-            for i in range(d):
-                out[:, i, :] = self.model.drift.path(
-                    self.model.post_jump_states[i], tb.control, s
-                )
-            return out
-        j, w = self._frac_index(s)
-        p = tb.positions
-        return (p[:, j, :] * (1.0 - w)[None, :, None] + p[:, j + 1, :] * w[None, :, None]).transpose(1, 0, 2)
-
-    def lam_int_all(self, tb: _ControlTables, s: np.ndarray) -> np.ndarray:
-        j, w = self._frac_index(s)
-        return (tb.lam_int[:, j] * (1.0 - w) + tb.lam_int[:, j + 1] * w).T
-
-    def seg_cost(self, tb: _ControlTables, y_idx: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        j, w = self._frac_index(dt)
-        return tb.cum_cost[y_idx, j] * (1.0 - w) + tb.cum_cost[y_idx, j + 1] * w
+    def position(self, tb: _ControlTables, s: np.ndarray) -> np.ndarray:
+        """Flow positions from every post-jump state at times ``s``, shape
+        (m, d, D); exact for a closed-form flow."""
+        if tb.positions is not None:
+            return self.lerp(tb.positions, s)
+        return np.stack([self.model.drift.path(y, tb.control, s)
+                         for y in self.model.post_jump_states], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +443,12 @@ def _check_hazard_bound(model: PopdmpModel, rate) -> None:
 
 
 def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _StreamBank,
-                    n: int, x0=None, y0: int | None = None, horizon: float = math.inf,
+                    n: int, x0=None, y0: int | None = None,
                     max_jumps: int | None = None, record: bool = False) -> _BatchResult:
+    """Run n trajectories from time 0 to ``tables.horizon`` (or to their
+    ``max_jumps``-th jump), drawing row r's uniforms from ``bank`` row r."""
     d = model.n_states
+    horizon = tables.horizon
     states_pts = model.post_jump_states
     beta = model.discount
     lam_bar = model.hazard_bounds[1]
@@ -514,9 +499,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
                 u2 = bank.take(sub[live])
                 u3 = bank.take(sub[live])
                 s_prop = elapsed[live]
-                tables.ensure_span(float(s_prop.max()))
-                tb = tables.ensure(control)
-                pos = tables.position(tb, y[sub[live]], s_prop)
+                pos = tables.position(tb, s_prop)[np.arange(live.size), y[sub[live]]]
                 piece = control.piece_index_at(s_prop)
                 atom = np.empty(live.size, dtype=np.int64)
                 for pc, g in _index_groups(piece):
@@ -535,10 +518,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             # horizon-truncated members of this group
             cut = sub[~accepted]
             if cut.size:
-                dt = horizon - T[cut]
-                tables.ensure_span(float(dt.max()))
-                tb = tables.ensure(control)
-                seg = np.exp(-beta * T[cut]) * tables.seg_cost(tb, y[cut], dt)
+                seg = np.exp(-beta * T[cut]) * tables.lerp(tb.cum_cost, horizon - T[cut], y[cut])
                 cost[cut] += seg
                 active[cut] = False
                 truncated[cut] = True
@@ -551,9 +531,10 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             if jumped.size == 0:
                 continue
             s = s_acc[accepted]
-            seg = np.exp(-beta * T[jumped]) * tables.seg_cost(tb, y[jumped], s)
+            seg = np.exp(-beta * T[jumped]) * tables.lerp(tb.cum_cost, s, y[jumped])
             cost[jumped] += seg
-            pos_j = tables.position(tb, y[jumped], s)
+            pos_all = tables.position(tb, s)
+            pos_j = pos_all[np.arange(jumped.size), y[jumped]]
             u4 = bank.take(jumped)
             u5 = bank.take(jumped)
             y_next = np.empty(jumped.size, dtype=np.int64)
@@ -565,11 +546,11 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             x = states_pts[y_next] + offsets[eps_idx]
 
             # exact Bayes update of the beliefs, using the full mixture at s
-            pos_all = tables.position_all(tb, s)
-            egam = np.exp(-tables.lam_int_all(tb, s))
+            egam = np.exp(-tables.lerp(tb.lam_int, s))
             hk = ControlPath(model, control, pos_all, control.piece_index_at(s)[:, None]).kernel_rows
             fac = model.noise.density(x[:, None, :] - states_pts[None, :, :])
-            numer = np.einsum("gi,gi,giu->gu", beliefs[jumped], egam, hk) * fac
+            # the products and order of einsum("gi,gi,giu->gu", ...), about 5x faster
+            numer = np.einsum("gi,giu->gu", beliefs[jumped] * egam, hk) * fac
             den = numer.sum(axis=1)
             if np.any(den <= 0):
                 b = int(np.argmax(den <= 0))
@@ -599,14 +580,15 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
 # public entry points
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
+def _stream_address(rng) -> tuple[int, int]:
+    """(seed, index) of an RngStream, an integer seed (index 0) or a pair."""
     if isinstance(rng, RngStream):
-        return rng.generator()
+        return rng.seed, rng.index
     if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng), 0).generator()
-    raise TypeError("rng must be a Generator, an RngStream or an integer seed")
+        return int(rng), 0
+    if isinstance(rng, tuple) and len(rng) == 2:
+        return int(rng[0]), int(rng[1])
+    raise TypeError("rng must be an RngStream, an integer seed or a (seed, index) pair")
 
 
 def sample_jump(model: PopdmpModel, y, control: RelaxedControl, rng):
@@ -615,7 +597,8 @@ def sample_jump(model: PopdmpModel, y, control: RelaxedControl, rng):
     ``y`` is the current post-jump state (index or point).  Thinning against
     the hazard upper bound; rejected proposals advance time.
     """
-    gen = _as_generator(rng)
+    gen = (rng if isinstance(rng, np.random.Generator)
+           else RngStream(*_stream_address(rng)).generator())
     model.check_control(control)
     if isinstance(y, (int, np.integer)):
         y_pt = model.post_jump_states[int(y)]
@@ -650,19 +633,32 @@ def sample_first_jumps(model: PopdmpModel, control: RelaxedControl, n: int, seed
     observation, posterior belief) of the first jump of n independent
     trajectories (streams seed/0 .. seed/n-1); the posterior is the exact
     one-step Bayes update computed alongside the draw.
+
+    The engine runs to ``4 / lambda_lo``; rows still waiting there rerun
+    from the start of their own streams with the horizon doubled.  A row's
+    draws up to a horizon do not depend on it, nor does its first jump.
     """
     if (y0 is None) == (x0 is None):
         raise ValueError("give exactly one of y0 (forced state) or x0 (observation)")
     driver = _FixedDriver(control)
-    span = 4.0 / model.hazard_bounds[0]
-    tables = SimTables(model, span)
-    bank = _StreamBank(seed, np.arange(n))
-    res = _simulate_batch(model, driver, tables, bank, n, x0=x0,
-                          y0=None if y0 is None else int(y0),
-                          horizon=math.inf, max_jumps=1, record=True)
-    ev = res.events
-    order = np.argsort(ev["traj"], kind="stable")
-    return ev["t"][order], ev["y"][order], ev["x"][order], res.beliefs
+    tables = SimTables(model, 4.0 / model.hazard_bounds[0])
+    s = np.empty(n)
+    y_next = np.empty(n, dtype=np.int64)
+    x = np.empty((n, model.space_dim))
+    beliefs = np.empty((n, model.n_states))
+    rows = np.arange(n)
+    while True:
+        res = _simulate_batch(model, driver, tables, _StreamBank(seed, rows), rows.size, x0=x0,
+                              y0=None if y0 is None else int(y0), max_jumps=1, record=True)
+        ev = res.events
+        hit = ev["y"] >= 0
+        at = rows[ev["traj"][hit]]
+        s[at], y_next[at], x[at] = ev["t"][hit], ev["y"][hit], ev["x"][hit]
+        beliefs[rows] = res.beliefs
+        rows = rows[res.truncated]
+        if rows.size == 0:
+            return s, y_next, x, beliefs
+        tables.ensure_span(2.0 * tables.horizon)
 
 
 def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
@@ -675,20 +671,12 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
     policy; cost accrues by quadrature along each inter-jump segment and the
     run truncates at the cost horizon (flagged).
     """
-    if isinstance(rng, RngStream):
-        seed, index = rng.seed, rng.index
-    elif isinstance(rng, (int, np.integer)):
-        seed, index = int(rng), 0
-    elif isinstance(rng, tuple) and len(rng) == 2:
-        seed, index = int(rng[0]), int(rng[1])
-    else:
-        raise TypeError("rng must be an RngStream, an integer seed or a (seed, index) pair")
+    seed, index = _stream_address(rng)
     horizon = default_horizon(model) if cost_horizon is None else float(cost_horizon)
     driver = _make_driver(policy)
     tables = SimTables(model, horizon)
     bank = _StreamBank(seed, np.array([index]))
-    res = _simulate_batch(model, driver, tables, bank, 1, x0=x0, y0=y0,
-                          horizon=horizon, record=True)
+    res = _simulate_batch(model, driver, tables, bank, 1, x0=x0, y0=y0, record=True)
     # the events are the jumps, then the truncated segment if there is one
     ev = res.events
     jumps = slice(int(res.n_jumps[0]))
@@ -717,13 +705,10 @@ def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
     horizon = default_horizon(model) if horizon is None else float(horizon)
     driver = _make_driver(policy)
     tables = SimTables(model, horizon)
-    for control in driver.controls:
-        tables.ensure(control)
 
     def run_chunk(lo: int, hi: int) -> np.ndarray:
         bank = _StreamBank(seed, np.arange(lo, hi))
-        res = _simulate_batch(model, driver, tables, bank, hi - lo, x0=x0,
-                              horizon=horizon, record=False)
+        res = _simulate_batch(model, driver, tables, bank, hi - lo, x0=x0, record=False)
         return res.costs
 
     workers = max(1, int(workers))

@@ -191,6 +191,24 @@ def test_filter_command_replays_events(tmp_path):
     assert step1 == [0.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize("log, args, key", [
+    # from x0 = -2 the particle stays on -2 under const:0, so x = 3 is impossible
+    ("const:0,0.4,-2\nconst:0,0.4,3\n", ["--x0", "-2"], "event 1"),
+    ("const:0,0.4,-2\nconst:0,0,-2\n", ["--x0", "-2"], "event 1"),
+    # no state explains an observation halfway between the noise offsets
+    ("const:0,0.4,-2\n", ["--x0", "0.5"], "--x0"),
+], ids=["zero-likelihood", "non-positive-s", "unreachable-x0"])
+def test_filter_command_rejects_impossible_events(tmp_path, log, args, key):
+    cfg_path = write_cfg(tmp_path / "cfg.yaml", {"output": {"directory": str(tmp_path / "out")}})
+    events = tmp_path / "events.csv"
+    events.write_text("r_piece_spec,s,x\n" + log)
+    result = CliRunner().invoke(main, ["filter", "--config", cfg_path, "--events", str(events),
+                                       *args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert key in result.output
+
+
 def test_simulate_constant_policy(tmp_path):
     cfg_path = write_cfg(tmp_path / "cfg.yaml", {
         "solver": FAST_SOLVER,
@@ -293,6 +311,8 @@ def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
     ("sweep", {"sweep": {"sigmas": [0.1, 0.2], "grid_k": 3}}, [], "sweep.sigmas"),
     ("sweep", {"sweep": {"sigmas": [0.2, -0.1], "grid_k": 3}}, [], "sweep.sigmas"),
     ("sweep", {"sweep": {"sigmas": 0.1, "grid_k": 3}}, [], "sweep.sigmas"),
+    ("simulate", {"sim": {"x0": 0.5}}, [], "sim.x0"),
+    ("crosscheck", {"crosscheck": {"observations": [0.0, 0.5]}}, [], "crosscheck.observations"),
 ])
 def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key):
     # each of these used to reach the library and end in a traceback

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popdmp as P
-from popdmp.model import ControlPath, _index_groups, _piecewise_simpson_nodes
+from popdmp.model import ControlPath, _index_groups, _simpson_nodes
 
 
 def toy_model(b=None, hazard=None, hazard_bounds=(1.0, 1.0), cost=None, cost_max=0.0,
@@ -218,7 +218,7 @@ def test_gamma_is_exactly_discount_plus_lambda(steering):
 
 def test_simpson_nodes_tag_breakpoint_sides():
     r = P.RelaxedControl.from_pieces([(0.0, 1.0), (0.5, 0.0)])
-    nodes, weights, pieces = _piecewise_simpson_nodes(r, 1.0, 0.25)
+    nodes, weights, pieces, _ = _simpson_nodes(r, [0.0, 0.5, 1.0], 0.25)
     at_break = np.flatnonzero(nodes == 0.5)
     assert len(at_break) == 2
     assert sorted(pieces[at_break]) == [0, 1]

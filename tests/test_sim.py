@@ -88,6 +88,25 @@ def test_engine_draws_match_the_per_row_generator_reference(steering, family, so
         assert np.array_equal(a, b)
 
 
+def test_first_jumps_past_the_first_horizon_match_one_long_run(steering):
+    # sample_first_jumps runs to 4/lambda_lo and reruns the rows still waiting
+    # there, from the start of their streams, with the horizon doubled; one
+    # run over tables that cover every first jump is the reference
+    control = P.RelaxedControl.constant(0.5)
+    n, seed = 20_000, 3
+    got = P.sample_first_jumps(steering, control, n, seed=seed, x0=0.0)
+    lam_lo = steering.hazard_bounds[0]
+    assert np.any(got[0] > 4.0 / lam_lo) and np.any(got[0] > 8.0 / lam_lo)
+    res = sim._simulate_batch(steering, sim._FixedDriver(control), sim.SimTables(steering, 64.0),
+                              sim._StreamBank(seed, np.arange(n)), n, x0=0.0, max_jumps=1,
+                              record=True)
+    assert not res.truncated.any()
+    order = np.argsort(res.events["traj"], kind="stable")
+    want = [res.events[k][order] for k in ("t", "y", "x")] + [res.beliefs]
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_sample_jump_reproducible(steering):
     r = P.RelaxedControl.constant(1.0)
     a = P.sample_jump(steering, 0, r, P.RngStream(3, 14))
