@@ -569,6 +569,8 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
 
     events = None
     if record:
+        parts = parts or [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64),
+                           np.empty((0, model.space_dim)), np.empty(0, np.int64), np.empty(0))]
         events = dict(zip(("traj", "t", "y", "x", "cand", "seg"), map(np.concatenate, zip(*parts))))
     return _BatchResult(
         costs=cost, truncated=truncated, n_jumps=n_jumps, beliefs=beliefs,

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import popdmp as P
 import popdmp.solver as solver_module
 from popdmp.filtering import _DENOM_FLOOR
-from popdmp.mdp import _TIE_RTOL, _tie_stable_min, _time_classes, transition_matrix
+from popdmp.mdp import (_TIE_RTOL, _smooth_tensor, _tie_stable_min, _time_classes,
+                        transition_matrix)
 
 
 def test_stage_quadrature_tail_bound(steering):
@@ -439,6 +440,52 @@ def test_single_support_atoms_match_the_per_atom_reference(model, action, tau, s
         assert located <= posteriors[~single].sum() + np.count_nonzero(single)
 
 
+def bang5():
+    """The five-candidate bang family of the benchmark: zero, switch(+-1, 0.5), +-1."""
+    return P.ControlFamily((
+        P.RelaxedControl.constant(0.0),
+        P.switch_control(1.0, 0.5),
+        P.switch_control(-1.0, 0.5),
+        P.RelaxedControl.constant(1.0),
+        P.RelaxedControl.constant(-1.0),
+    ))
+
+
+@pytest.mark.parametrize("kind,sigma,n,d", [
+    ("gaussian", 0.03, 40, 3), ("epanechnikov", 0.05, 40, 2),
+    ("gaussian", 0.2, 30, 3), ("epanechnikov", 0.5, 12, 2),  # windows wider than the grid
+])
+def test_smoothing_matches_the_per_node_window_sum(kind, sigma, n, d):
+    # node t sums the Simpson-weighted kernel terms of its window; terms
+    # before time zero are dropped and the tensor is zero past t_max
+    step = 0.01
+    kernel = P.RegularizationKernel(kind, sigma)
+    dmat = np.random.default_rng(n + d).random((d, d, n))
+    w = max(1, math.ceil(kernel.halfwidth / step))
+    simpson = np.full(2 * w + 1, 2.0)
+    simpson[1::2] = 4.0
+    simpson[[0, -1]] = 1.0
+    ref = np.zeros_like(dmat)
+    for t in range(n):
+        for j, m in enumerate(range(-w, w + 1)):
+            if 0 <= t - m < n:
+                ref[..., t] += simpson[j] * step / 3.0 * kernel.density(m * step) * dmat[..., t - m]
+    got = _smooth_tensor(dmat, step, kernel)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref).max(axis=-1, keepdims=True))
+
+
+def test_steering_time_class_counts(steering, ctx):
+    # time classes per candidate of the benchmark family; a summation order
+    # in the tables or the smoothing that splits classes shows here
+    want = {None: [1, 52, 52, 154, 154], 0.2: [1, 153, 153, 503, 503],
+            0.1: [1, 103, 103, 406, 406], 0.05: [1, 78, 78, 284, 284]}
+    for sigma, counts in want.items():
+        kernel = None if sigma is None else P.RegularizationKernel("gaussian", sigma)
+        got = [_time_classes(ctx.tables(c), None if kernel is None
+                             else ctx.smoothed_dmat(c, kernel))[2].size for c in bang5()]
+        assert got == counts, sigma
+
+
 def test_steering_single_support_atoms(steering, ctx):
     # offsets {-1, 0, 1} around states {-2, 0, 2}: x = -3, -2, 0, 2 and 3
     # are each seen from one state, so 5 of the 7 atoms are located as
@@ -446,13 +493,7 @@ def test_steering_single_support_atoms(steering, ctx):
     atoms = ctx.obs_weights
     assert atoms.shape[0] == 7
     assert np.count_nonzero((atoms > 0.0).sum(axis=1) == 1) == 5
-    family = P.ControlFamily((
-        P.RelaxedControl.constant(0.0),
-        P.switch_control(1.0, 0.5),
-        P.switch_control(-1.0, 0.5),
-        P.RelaxedControl.constant(1.0),
-        P.RelaxedControl.constant(-1.0),
-    ))
+    family = bang5()
     grid = P.build_simplex_grid(3, 15)
     _, located = located_rows(lambda: P.BellmanSweep(steering, grid, family, ctx=ctx))
     per_atom = sum(per_atom_posteriors(ctx, c, None, grid.points).sum() for c in family)
@@ -463,13 +504,7 @@ def test_compressed_argmins_match_the_uncompressed_reference_k15(steering, monke
     # the sigma-sweep grid with the mirror pairs of the benchmark family:
     # with the tie rule, compressed and uncompressed builds pick the same
     # candidate everywhere, plain and regularized
-    family = P.ControlFamily((
-        P.RelaxedControl.constant(0.0),
-        P.switch_control(1.0, 0.5),
-        P.switch_control(-1.0, 0.5),
-        P.RelaxedControl.constant(1.0),
-        P.RelaxedControl.constant(-1.0),
-    ))
+    family = bang5()
     grid = P.build_simplex_grid(3, 15)
     ctx = P.StageContext(steering)
     kernels = [None] + [P.RegularizationKernel("gaussian", s) for s in (0.2, 0.1, 0.05)]

@@ -107,6 +107,23 @@ def test_first_jumps_past_the_first_horizon_match_one_long_run(steering):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def test_zero_rows_give_empty_event_arrays(steering):
+    # no rows record no events; the arrays keep their dtypes and trailing shapes
+    control = P.RelaxedControl.constant(0.5)
+    res = sim._simulate_batch(steering, sim._FixedDriver(control), sim.SimTables(steering, 4.0),
+                              sim._StreamBank(1, np.arange(0)), 0, y0=1, record=True)
+    want = {"traj": np.int64, "t": np.float64, "y": np.int64, "x": np.float64,
+            "cand": np.int64, "seg": np.float64}
+    assert {k: v.dtype for k, v in res.events.items()} == want
+    assert res.events["x"].shape == (0, steering.space_dim)
+    for kw in ({"y0": 1}, {"x0": 0.0}):
+        s, y, x, beliefs = P.sample_first_jumps(steering, control, 0, seed=1, **kw)
+        assert (s.dtype, y.dtype, x.dtype, beliefs.dtype) == (np.float64, np.int64,
+                                                              np.float64, np.float64)
+        assert (s.shape, y.shape, x.shape, beliefs.shape) == ((0,), (0,), (0, steering.space_dim),
+                                                              (0, steering.n_states))
+
+
 def test_sample_jump_reproducible(steering):
     r = P.RelaxedControl.constant(1.0)
     a = P.sample_jump(steering, 0, r, P.RngStream(3, 14))
