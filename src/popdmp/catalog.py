@@ -43,14 +43,11 @@ def _displacement(control: RelaxedControl, times: np.ndarray) -> np.ndarray:
 def velocity_flow() -> ClosedFormFlow:
     """Closed-form flow for the pure-velocity drift b(y, a) = a in 1-d."""
 
-    def phi(y, control, t):
-        return np.asarray(y, dtype=float) + _displacement(control, np.array([t]))[0]
-
     def path(y, control, times):
         times = np.asarray(times, dtype=float)
         return np.asarray(y, dtype=float)[None, :] + _displacement(control, times)[:, None]
 
-    return ClosedFormFlow(phi=phi, path=path)
+    return ClosedFormFlow(path=path)
 
 
 def velocity_field() -> VectorField:

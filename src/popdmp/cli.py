@@ -1,10 +1,13 @@
 """Command-line interface: config ingestion and the solve / simulate /
 filter / crosscheck / sweep pipelines.
 
-Configs are YAML.  Every run writes ``resolved_config.yaml`` into the output
-directory with all defaults filled in, so runs are self-describing and the
-echo is byte-identical across reruns of the same input.  All numeric CSV
-fields are printed with nine significant digits.
+Configs are YAML.  The shared value flags (``--grid-k``, ``--tol``,
+``--sigma``, ``--seed``, ``--workers``) form one more override document,
+merged after the file, so flag and file values pass the same checks.  Every
+run writes ``resolved_config.yaml`` into the output directory with all
+defaults filled in, so runs are self-describing and the echo is
+byte-identical across reruns of the same input.  All numeric CSV fields are
+printed with nine significant digits.
 
 Control specification grammar (used in ``policy.csv`` and in the event logs
 replayed by ``popdmp filter``)::
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -29,9 +33,10 @@ import numpy as np
 import yaml
 
 from .catalog import BUILTIN_MODELS, build_builtin, table_model
-from .filtering import ImpossibleObservationError, RegularizationKernel, filter_trajectory
+from .filtering import (KERNEL_KINDS, ImpossibleObservationError, RegularizationKernel,
+                        filter_trajectory)
 from .mdp import ControlFamily, StageContext, StageQuadrature, switch_control, switching_family
-from .model import ActionMixture, PopdmpModel, RelaxedControl
+from .model import ActionMixture, InvalidControlError, PopdmpModel, RelaxedControl
 from .sim import cross_check, default_horizon, evaluate_policy_mc, simulate_trajectory
 from .solver import (
     BellmanSweep,
@@ -40,6 +45,7 @@ from .solver import (
     extract_policy,
     sigma_sweep,
     value_iteration,
+    write_csv,
     write_report_csv,
     write_value_csv,
 )
@@ -157,9 +163,15 @@ class RunConfig:
 
     def __init__(self, resolved: dict):
         self.resolved = resolved
+        if resolved["model"].get("inline"):
+            # echo the applied inline defaults (discount, q0 rule, action box)
+            resolved["model"]["inline"] = {**_INLINE_DEFAULTS, **resolved["model"]["inline"]}
         self._validate()
 
     def _validate(self) -> None:
+        key = _non_finite_key(self.resolved)
+        if key is not None:
+            raise ConfigError(f"{key} is non-finite")
         m = self.resolved["model"]
         has_builtin = "builtin" in m and m["builtin"] is not None
         has_inline = "inline" in m and m["inline"] is not None
@@ -187,6 +199,8 @@ class RunConfig:
             raise ConfigError("sim.n_traj must be a positive integer")
         if not (isinstance(sim["seed"], int) and sim["seed"] >= 0):
             raise ConfigError("sim.seed must be a non-negative integer")
+        if sim["horizon"] != "auto" and not _is_non_negative_number(sim["horizon"]):
+            raise ConfigError("sim.horizon must be 'auto' or a finite non-negative number")
         sweep = self.resolved["sweep"]
         if not (isinstance(sweep["grid_k"], int) and sweep["grid_k"] >= 1):
             raise ConfigError("sweep.grid_k must be a positive integer")
@@ -196,6 +210,10 @@ class RunConfig:
                 and all(b < a for a, b in zip(sigmas, sigmas[1:]))):
             raise ConfigError("sweep.sigmas must be strictly decreasing positive bandwidths")
 
+    def dump(self) -> str:
+        """The resolved configuration as YAML with sorted keys."""
+        return yaml.safe_dump(self.resolved, sort_keys=True, default_flow_style=False)
+
     # -- builders --------------------------------------------------------------
 
     def build_model(self) -> PopdmpModel:
@@ -203,7 +221,7 @@ class RunConfig:
         try:
             if m.get("builtin"):
                 return build_builtin(m["builtin"])
-            inline = {**_INLINE_DEFAULTS, **m["inline"]}
+            inline = m["inline"]
             noise = inline["noise"]
             return table_model(
                 states=inline["states"],
@@ -221,37 +239,59 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(f"invalid model data: {err}") from None
 
-    def build_family(self) -> ControlFamily:
+    def build_family(self, model: PopdmpModel) -> ControlFamily:
+        """The switching family, checked against the model's action box."""
         fam = self.resolved["solver"]["family"]
         taus_spec = fam["taus"]
-        if isinstance(taus_spec, dict):
-            start, stop, step = (float(taus_spec[k]) for k in ("start", "stop", "step"))
-            count = int(round((stop - start) / step)) + 1
-            taus = [start + i * step for i in range(count)]
-        else:
-            taus = [float(t) for t in taus_spec]
-        return switching_family(actions=[float(a) for a in fam["actions"]], taus=taus)
+        try:
+            if isinstance(taus_spec, dict):
+                start, stop, step = (float(taus_spec[k]) for k in ("start", "stop", "step"))
+                count = int(round((stop - start) / step)) + 1 if step else 0
+                if count < 1:
+                    raise ConfigError("solver.family.taus: start, stop and step give no switch time")
+                taus = [start + i * step for i in range(count)]
+            else:
+                taus = [float(t) for t in taus_spec]
+            family = switching_family(actions=[float(a) for a in fam["actions"]], taus=taus)
+        except (ValueError, TypeError, KeyError) as err:
+            raise ConfigError(f"solver.family: {err}") from None
+        try:
+            for control in family:
+                model.check_control(control)
+        except InvalidControlError as err:
+            raise ConfigError(f"solver.family.actions: {err}") from None
+        return family
 
     def stage(self, model: PopdmpModel) -> StageQuadrature:
         q = self.resolved["solver"]["quadrature"]
-        h = float(q["h"])
-        if q["t_max"] == "auto":
-            return StageQuadrature.for_model(model, h=h, tail_tol=float(q["tail_tol"]))
-        return StageQuadrature(t_max=float(q["t_max"]), h=h)
+        try:
+            h = float(q["h"])
+            if q["t_max"] == "auto":
+                return StageQuadrature.for_model(model, h=h, tail_tol=float(q["tail_tol"]))
+            return StageQuadrature(t_max=float(q["t_max"]), h=h)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ConfigError(f"solver.quadrature: {err}") from None
+
+    def kernel_kind(self) -> str:
+        kind = self.resolved["solver"]["kernel"]
+        if kind not in KERNEL_KINDS:
+            raise ConfigError(f"solver.kernel must be one of {list(KERNEL_KINDS)}, got {kind!r}")
+        return kind
 
     def kernel(self) -> RegularizationKernel | None:
         sig = self.resolved["solver"]["sigma"]
         if sig == "plain":
             return None
-        return RegularizationKernel(self.resolved["solver"]["kernel"], float(sig))
+        return RegularizationKernel(self.kernel_kind(), float(sig))
 
     def horizon(self, model: PopdmpModel) -> float:
         h = self.resolved["sim"]["horizon"]
         return default_horizon(model) if h == "auto" else float(h)
 
 
-def load_config(path) -> RunConfig:
-    """Parse, validate and resolve a YAML config against the defaults."""
+def load_config(path, flags: dict | None = None) -> RunConfig:
+    """Parse a YAML config and merge it, then the ``flags`` override
+    document, over the defaults; the result passes one set of checks."""
     try:
         with open(path) as fh:
             user = yaml.safe_load(fh) or {}
@@ -261,48 +301,32 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot parse {path}: {err}") from None
     if not isinstance(user, dict):
         raise ConfigError("config root must be a mapping")
-    resolved = _merge(_DEFAULTS, user)
+    resolved = _merge(_merge(_DEFAULTS, user), flags or {})
     user_model = user.get("model") or {}
     if user_model.get("inline") is not None and "builtin" not in user_model:
         # an inline model in the user file replaces the default builtin
         resolved["model"]["builtin"] = None
-    if resolved["model"].get("inline"):
-        # echo the applied inline defaults (discount, q0 rule, action box)
-        resolved["model"]["inline"] = {**_INLINE_DEFAULTS, **resolved["model"]["inline"]}
-    if not _all_finite(resolved):
-        raise ConfigError("config contains non-finite numbers")
     return RunConfig(resolved)
 
 
-def _all_finite(node) -> bool:
-    if isinstance(node, dict):
-        return all(_all_finite(v) for v in node.values())
-    if isinstance(node, (list, tuple)):
-        return all(_all_finite(v) for v in node)
+def _non_finite_key(node, key: str = "") -> str | None:
+    """The dotted key of the first non-finite number in ``node``, or None."""
     if isinstance(node, float):
-        return math.isfinite(node)
-    return True
+        return None if math.isfinite(node) else key
+    if isinstance(node, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in node.items())
+    elif isinstance(node, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    return next(filter(None, (_non_finite_key(v, k) for k, v in items)), None)
 
 
-def _write_resolved(cfg: RunConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = yaml.safe_dump(cfg.resolved, sort_keys=True, default_flow_style=False)
-    (out_dir / "resolved_config.yaml").write_text(text)
-
-
-def _apply_overrides(cfg: RunConfig, grid_k, tol, sigma, seed, workers) -> RunConfig:
-    resolved = copy.deepcopy(cfg.resolved)
-    if grid_k is not None:
-        resolved["solver"]["grid_k"] = int(grid_k)
-    if tol is not None:
-        resolved["solver"]["tol"] = float(tol)
-    if sigma is not None:
-        resolved["solver"]["sigma"] = "plain" if sigma == "plain" else float(sigma)
-    if seed is not None:
-        resolved["sim"]["seed"] = int(seed)
-    if workers is not None:
-        resolved["sim"]["workers"] = int(workers)
-    return RunConfig(resolved)
+def _is_non_negative_number(value) -> bool:
+    try:
+        return 0.0 <= float(value) < math.inf
+    except (TypeError, ValueError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +343,13 @@ def _check_observation(model: PopdmpModel, x0, key: str) -> None:
 
 def _solve(cfg: RunConfig, model: PopdmpModel):
     """Build the Bellman operator once and iterate it to the fixed point."""
-    family = cfg.build_family()
+    family = cfg.build_family(model)
     grid = build_simplex_grid(model.n_states, int(cfg.resolved["solver"]["grid_k"]))
     sweep = BellmanSweep(model, grid, family, kernel=cfg.kernel(),
                          ctx=StageContext(model, cfg.stage(model)))
-    vg, report = value_iteration(
-        model,
-        grid,
-        family,
-        tol=float(cfg.resolved["solver"]["tol"]),
-        max_iter=int(cfg.resolved["solver"]["max_iter"]),
-        sweep=sweep,
-    )
+    vg, report = value_iteration(model, grid, family, tol=float(cfg.resolved["solver"]["tol"]),
+                                 max_iter=int(cfg.resolved["solver"]["max_iter"]), sweep=sweep)
     return family, sweep, vg, report
-
-
-def _write_policy_csv(vg, family, path) -> None:
-    d = vg.grid.dim
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow([f"rho_{i + 1}" for i in range(d)] + ["argmin_index", "control"])
-        for p, a in zip(vg.grid.points, vg.argmins):
-            out.writerow([_fmt(c) for c in p] + [str(int(a)), format_control(family[int(a)])])
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +362,21 @@ def main():
     Markov processes on a finite post-jump state set."""
 
 
+def _sigma_flag(ctx, param, text):
+    """``--sigma`` text as the value a config file would hold."""
+    if text is None or text == "plain":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"solver.sigma must be 'plain' or a positive bandwidth, "
+                          f"got {text!r}") from None
+
+
+# flag name -> config section of the key it overrides
+_FLAG_SECTIONS = {"grid_k": "solver", "tol": "solver", "sigma": "solver",
+                  "seed": "sim", "workers": "sim"}
+
 _shared = [
     click.option("--config", "config_path", type=click.Path(), required=True,
                  help="YAML run configuration."),
@@ -360,33 +384,47 @@ _shared = [
                  help="Output directory (default: from config)."),
     click.option("--grid-k", type=int, default=None, help="Override solver.grid_k."),
     click.option("--tol", type=float, default=None, help="Override solver.tol."),
-    click.option("--sigma", default=None, help="Override solver.sigma ('plain' or bandwidth)."),
+    click.option("--sigma", default=None, callback=_sigma_flag,
+                 help="Override solver.sigma ('plain' or bandwidth)."),
     click.option("--seed", type=int, default=None, help="Override sim.seed."),
     click.option("--workers", type=int, default=None, help="Worker threads for simulation."),
 ]
 
 
 def _with_shared(fn):
+    """Give a command the shared options: the config file, resolved with the
+    given flags as one more override document, and the output directory,
+    which receives ``resolved_config.yaml``.  The command is called with
+    ``(cfg, out)`` and its own options."""
+
+    @functools.wraps(fn)
+    def command(config_path, out_dir, **options):
+        flags: dict = {}
+        for key, section in _FLAG_SECTIONS.items():
+            value = options.pop(key)
+            if value is not None:
+                flags.setdefault(section, {})[key] = value
+        cfg = load_config(config_path, flags)
+        out = Path(out_dir) if out_dir is not None else Path(cfg.resolved["output"]["directory"])
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "resolved_config.yaml").write_text(cfg.dump())
+        return fn(cfg, out, **options)
+
     for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
-
-
-def _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers):
-    cfg = _apply_overrides(load_config(config_path), grid_k, tol, sigma, seed, workers)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.resolved["output"]["directory"])
-    _write_resolved(cfg, out)
-    return cfg, out
+        command = opt(command)
+    return command
 
 
 @main.command()
 @_with_shared
-def solve(config_path, out_dir, grid_k, tol, sigma, seed, workers):
+def solve(cfg: RunConfig, out: Path):
     """Run value iteration and write value.csv, policy.csv, report.csv."""
-    cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
     family, _, vg, report = _solve(cfg, cfg.build_model())
     write_value_csv(vg, out / "value.csv")
-    _write_policy_csv(vg, family, out / "policy.csv")
+    write_csv(out / "policy.csv",
+              [f"rho_{i + 1}" for i in range(vg.grid.dim)] + ["argmin_index", "control"],
+              ([_fmt(c) for c in p] + [str(int(a)), format_control(family[int(a)])]
+               for p, a in zip(vg.grid.points, vg.argmins)))
     write_report_csv(report, out / "report.csv")
     click.echo(
         f"value iteration: {report.iterations} iterations, "
@@ -399,10 +437,9 @@ def solve(config_path, out_dir, grid_k, tol, sigma, seed, workers):
 
 @main.command()
 @_with_shared
-def simulate(config_path, out_dir, grid_k, tol, sigma, seed, workers):
+def simulate(cfg: RunConfig, out: Path):
     """Simulate trajectories under the configured policy; write
     trajectories.csv and evaluation.csv."""
-    cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
     model = cfg.build_model()
     sim_cfg = cfg.resolved["sim"]
     _check_observation(model, sim_cfg["x0"], "sim.x0")
@@ -420,28 +457,22 @@ def simulate(config_path, out_dir, grid_k, tol, sigma, seed, workers):
     horizon = cfg.horizon(model)
     n_traj = int(sim_cfg["n_traj"])
     seed_v = int(sim_cfg["seed"])
-    mean, se = evaluate_policy_mc(
-        model, x0, policy, n_traj, seed_v, horizon=horizon,
-        workers=int(sim_cfg.get("workers", 1)),
-    )
-    with open(out / "evaluation.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x0", "n_traj", "seed", "mean_cost", "stderr"])
-        w.writerow([_fmt(x0), str(n_traj), str(seed_v), _fmt(mean), _fmt(se)])
-    n_rec = min(int(sim_cfg["record_trajectories"]), n_traj)
-    with open(out / "trajectories.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["traj", "n", "T_n", "Y_n", "X_n", "segment_cost"])
-        for i in range(n_rec):
+    mean, se = evaluate_policy_mc(model, x0, policy, n_traj, seed_v, horizon=horizon,
+                                  workers=int(sim_cfg["workers"]))
+    write_csv(out / "evaluation.csv", ["x0", "n_traj", "seed", "mean_cost", "stderr"],
+              [[_fmt(x0), str(n_traj), str(seed_v), _fmt(mean), _fmt(se)]])
+
+    def trajectory_rows():
+        for i in range(min(int(sim_cfg["record_trajectories"]), n_traj)):
             traj = simulate_trajectory(model, x0, policy, (seed_v, i), cost_horizon=horizon)
             for nn in range(len(traj.times)):
-                seg = traj.segment_costs[nn] if nn < len(traj.segment_costs) else ""
-                w.writerow([
-                    str(i), str(nn), _fmt(traj.times[nn]),
-                    _fmt(model.post_jump_states[traj.states[nn]][0]),
-                    _fmt(traj.observations[nn][0]),
-                    _fmt(seg) if seg != "" else "",
-                ])
+                yield [str(i), str(nn), _fmt(traj.times[nn]),
+                       _fmt(model.post_jump_states[traj.states[nn]][0]),
+                       _fmt(traj.observations[nn][0]),
+                       _fmt(traj.segment_costs[nn]) if nn < len(traj.segment_costs) else ""]
+
+    write_csv(out / "trajectories.csv", ["traj", "n", "T_n", "Y_n", "X_n", "segment_cost"],
+              trajectory_rows())
     click.echo(f"mean discounted cost {mean:.6g} (stderr {se:.3g}) over {n_traj} runs")
 
 
@@ -450,9 +481,8 @@ def simulate(config_path, out_dir, grid_k, tol, sigma, seed, workers):
               help="CSV with columns r_piece_spec,s,x.")
 @click.option("--x0", type=float, default=None, help="Initial observation (default sim.x0).")
 @_with_shared
-def filter_cmd(events_path, x0, config_path, out_dir, grid_k, tol, sigma, seed, workers):
+def filter_cmd(cfg: RunConfig, out: Path, events_path, x0):
     """Replay an event log through the Bayes filter; write beliefs.csv."""
-    cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
     model = cfg.build_model()
     events = []
     try:
@@ -471,21 +501,17 @@ def filter_cmd(events_path, x0, config_path, out_dir, grid_k, tol, sigma, seed, 
         beliefs = filter_trajectory(model, x0_val, events, kernel=cfg.kernel())
     except ImpossibleObservationError as err:
         raise ConfigError(f"event log {events_path}: {err}") from None
-    with open(out / "beliefs.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step"] + [f"mu_{i + 1}" for i in range(model.n_states)])
-        for n, b in enumerate(beliefs):
-            w.writerow([str(n)] + [_fmt(p) for p in b.probs])
+    write_csv(out / "beliefs.csv", ["step"] + [f"mu_{i + 1}" for i in range(model.n_states)],
+              ([str(n)] + [_fmt(p) for p in b.probs] for n, b in enumerate(beliefs)))
     click.echo(f"filtered {len(events)} events; final belief "
                + "[" + ", ".join(_fmt(p) for p in beliefs[-1].probs) + "]")
 
 
 @main.command()
 @_with_shared
-def crosscheck(config_path, out_dir, grid_k, tol, sigma, seed, workers):
+def crosscheck(cfg: RunConfig, out: Path):
     """Solve, then compare Monte Carlo cost of the solved policy against the
     filtered-MDP value; write zscores.csv.  Exits nonzero if any |z| >= 4."""
-    cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
     model = cfg.build_model()
     observations = [float(v) for v in cfg.resolved["crosscheck"]["observations"]]
     for x0 in observations:
@@ -493,21 +519,12 @@ def crosscheck(config_path, out_dir, grid_k, tol, sigma, seed, workers):
     family, sweep, vg, _ = _solve(cfg, model)
     policy = extract_policy(vg, family)
     sim_cfg = cfg.resolved["sim"]
-    report_cc = cross_check(
-        model,
-        policy,
-        observations,
-        n_traj=int(sim_cfg["n_traj"]),
-        seed=int(sim_cfg["seed"]),
-        horizon=cfg.horizon(model),
-        workers=int(sim_cfg.get("workers", 1)),
-        sweep=sweep,
-    )
-    with open(out / "zscores.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x0", "mc_mean", "stderr", "mdp_value", "z"])
-        for r in report_cc.rows:
-            w.writerow([_fmt(r.x0), _fmt(r.mc_mean), _fmt(r.stderr), _fmt(r.mdp_value), _fmt(r.z)])
+    report_cc = cross_check(model, policy, observations, n_traj=int(sim_cfg["n_traj"]),
+                            seed=int(sim_cfg["seed"]), horizon=cfg.horizon(model),
+                            workers=int(sim_cfg["workers"]), sweep=sweep)
+    write_csv(out / "zscores.csv", ["x0", "mc_mean", "stderr", "mdp_value", "z"],
+              ([_fmt(r.x0), _fmt(r.mc_mean), _fmt(r.stderr), _fmt(r.mdp_value), _fmt(r.z)]
+               for r in report_cc.rows))
     for r in report_cc.rows:
         click.echo(
             f"x0={r.x0:+.3g}: mc={r.mc_mean:.6g} (se {r.stderr:.3g}) "
@@ -520,28 +537,19 @@ def crosscheck(config_path, out_dir, grid_k, tol, sigma, seed, workers):
 
 @main.command()
 @_with_shared
-def sweep(config_path, out_dir, grid_k, tol, sigma, seed, workers):
+def sweep(cfg: RunConfig, out: Path):
     """Regularization-bandwidth sweep against the plain filter; write
     sigma_sweep.csv."""
-    cfg, out = _prepare(config_path, out_dir, grid_k, tol, sigma, seed, workers)
     model = cfg.build_model()
-    family = cfg.build_family()
+    family = cfg.build_family(model)
     grid = build_simplex_grid(model.n_states, int(cfg.resolved["sweep"]["grid_k"]))
-    result = sigma_sweep(
-        model,
-        grid,
-        family,
-        sigmas=[float(s) for s in cfg.resolved["sweep"]["sigmas"]],
-        tol=float(cfg.resolved["solver"]["tol"]),
-        max_iter=int(cfg.resolved["solver"]["max_iter"]),
-        stage=cfg.stage(model),
-        kind=cfg.resolved["solver"]["kernel"],
-    )
-    with open(out / "sigma_sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sigma", "value_gap", "argmin_agreement"])
-        for row in result.rows:
-            w.writerow([_fmt(row.sigma), _fmt(row.value_gap), _fmt(row.argmin_agreement)])
+    sol = cfg.resolved["solver"]
+    result = sigma_sweep(model, grid, family, [float(s) for s in cfg.resolved["sweep"]["sigmas"]],
+                         tol=float(sol["tol"]), max_iter=int(sol["max_iter"]),
+                         stage=cfg.stage(model), kind=cfg.kernel_kind())
+    write_csv(out / "sigma_sweep.csv", ["sigma", "value_gap", "argmin_agreement"],
+              ([_fmt(row.sigma), _fmt(row.value_gap), _fmt(row.argmin_agreement)]
+               for row in result.rows))
     for row in result.rows:
         click.echo(f"sigma={row.sigma:g}: gap={row.value_gap:.4g} "
                    f"argmin agreement={row.argmin_agreement:.3f}")
@@ -553,8 +561,7 @@ def sweep(config_path, out_dir, grid_k, tol, sigma, seed, workers):
 def example(out_path):
     """Print the fully resolved configuration of the built-in
     particle-steering model."""
-    cfg = RunConfig(copy.deepcopy(_DEFAULTS))
-    text = yaml.safe_dump(cfg.resolved, sort_keys=True, default_flow_style=False)
+    text = RunConfig(copy.deepcopy(_DEFAULTS)).dump()
     if out_path is None:
         click.echo(text, nl=False)
     else:

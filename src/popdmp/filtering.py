@@ -28,6 +28,8 @@ __all__ = [
 
 # Bayes normalizers below this floor count as zero likelihood
 _DENOM_FLOOR = 1e-300
+# the shapes of RegularizationKernel
+KERNEL_KINDS = ("gaussian", "epanechnikov")
 
 
 class ImpossibleObservationError(ValueError):
@@ -91,7 +93,7 @@ class RegularizationKernel:
     sigma: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "epanechnikov"):
+        if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown regularization kernel {self.kind!r}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("bandwidth sigma must be positive")

@@ -135,7 +135,6 @@ class CandidateTables:
     value function: the discounted hazard-kernel tensor and the per-state
     stage cost on the stage time grid."""
 
-    control: RelaxedControl
     times: np.ndarray        # (n,)
     weights: np.ndarray      # (n,) composite Simpson weights on [0, t_max]
     step: float
@@ -181,7 +180,6 @@ def build_tables(model: PopdmpModel, control: RelaxedControl,
                               path.kernel_rows.transpose(0, 2, 1).reshape(-1, ts.size)])
     _, node_class = _bit_classes(factors)
     return CandidateTables(
-        control=control,
         times=ts,
         weights=W,
         step=float(ts[1] - ts[0]),
@@ -214,7 +212,6 @@ class StageContext:
         self.stage = stage if stage is not None else StageQuadrature.for_model(model)
         _, self.obs_weights = model.observation_atoms()
         self._tables: dict[RelaxedControl, CandidateTables] = {}
-        self._smoothed: dict[tuple[RelaxedControl, RegularizationKernel], np.ndarray] = {}
 
     def tables(self, control: RelaxedControl) -> CandidateTables:
         tb = self._tables.get(control)
@@ -224,13 +221,10 @@ class StageContext:
         return tb
 
     def smoothed_dmat(self, control: RelaxedControl, kernel: RegularizationKernel) -> np.ndarray:
-        key = (control, kernel)
-        out = self._smoothed.get(key)
-        if out is None:
-            tb = self.tables(control)
-            out = _smooth_tensor(tb.dmat, tb.step, kernel)
-            self._smoothed[key] = out
-        return out
+        """The control's ``dmat`` smoothed in time by ``kernel`` (not cached:
+        each operator build asks once per candidate and kernel)."""
+        tb = self.tables(control)
+        return _smooth_tensor(tb.dmat, tb.step, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -236,14 +236,10 @@ class VectorField:
 
 @dataclass(frozen=True)
 class ClosedFormFlow:
-    """Controlled drift given directly as the flow map phi(y, r, t).
+    """Controlled drift given directly as its flow map: ``path(y, r, times)``
+    returns the flow from y under r at each of the sorted times, (n, D)."""
 
-    ``path`` is an optional vectorized variant returning the flow at many
-    times at once, used by the table precomputations.
-    """
-
-    phi: Callable[[np.ndarray, RelaxedControl, float], np.ndarray]
-    path: Callable[[np.ndarray, RelaxedControl, np.ndarray], np.ndarray] | None = None
+    path: Callable[[np.ndarray, RelaxedControl, np.ndarray], np.ndarray]
 
 
 def mixture_velocity(field: VectorField, y, mixture: ActionMixture) -> np.ndarray:
@@ -414,11 +410,7 @@ def flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarr
     if t.ndim != 1 or (t.size and (t[0] < 0 or np.any(np.diff(t) < 0))):
         raise ValueError("times must be a sorted, nonnegative 1-d array")
     if isinstance(model.drift, ClosedFormFlow):
-        if model.drift.path is not None:
-            out = np.asarray(model.drift.path(y, control, t), dtype=float)
-        else:
-            out = np.stack([np.asarray(model.drift.phi(y, control, tt), dtype=float) for tt in t])
-        out = out.reshape(t.size, y.size)
+        out = np.asarray(model.drift.path(y, control, t), dtype=float).reshape(t.size, y.size)
         if not np.all(np.isfinite(out)):
             raise IntegrationDivergedError("closed-form flow produced non-finite values")
         return out

@@ -132,6 +132,8 @@ class SimTables:
     def __init__(self, model: PopdmpModel, horizon: float):
         self.model = model
         self.horizon = float(horizon)
+        if not 0.0 <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and non-negative, got {horizon}")
         self._n = max(2, math.ceil(self.horizon / _SIM_STEP)) + 1
         self._entries: dict[RelaxedControl, _ControlTables] = {}
         self._lock = threading.Lock()
@@ -163,7 +165,7 @@ class SimTables:
     def _build(self, control: RelaxedControl) -> _ControlTables:
         model = self.model
         ts = np.arange(self._n) * _SIM_STEP
-        closed = isinstance(model.drift, ClosedFormFlow) and model.drift.path is not None
+        closed = isinstance(model.drift, ClosedFormFlow)
         path = ControlPath.from_post_jump_states(model, control, ts)
         lam_int = cumulative_simpson(path.hazard, dx=_SIM_STEP, axis=1, initial=0.0)
         cum_cost = cumulative_simpson(

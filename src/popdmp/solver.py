@@ -40,6 +40,7 @@ __all__ = [
     "value_iteration",
     "extract_policy",
     "sigma_sweep",
+    "write_csv",
     "write_value_csv",
     "write_report_csv",
 ]
@@ -231,19 +232,21 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
-def write_value_csv(vg: ValueGrid, path) -> None:
-    d = vg.grid.dim
+def write_csv(path, header: list[str], rows) -> None:
+    """Write the header, then the rows (lists of already formatted fields)."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow([f"rho_{i + 1}" for i in range(d)] + ["value", "argmin_index"])
-        argm = vg.argmins if vg.argmins is not None else np.full(vg.grid.n_points, -1)
-        for p, v, a in zip(vg.grid.points, vg.values, argm):
-            out.writerow([_fmt(c) for c in p] + [_fmt(v), str(int(a))])
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def write_value_csv(vg: ValueGrid, path) -> None:
+    argm = vg.argmins if vg.argmins is not None else np.full(vg.grid.n_points, -1)
+    write_csv(path, [f"rho_{i + 1}" for i in range(vg.grid.dim)] + ["value", "argmin_index"],
+              ([_fmt(c) for c in p] + [_fmt(v), str(int(a))]
+               for p, v, a in zip(vg.grid.points, vg.values, argm)))
 
 
 def write_report_csv(report: SolveReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iteration", "residual"])
-        for i, r in enumerate(report.residuals, start=1):
-            out.writerow([str(i), _fmt(r)])
+    write_csv(path, ["iteration", "residual"],
+              ([str(i), _fmt(r)] for i, r in enumerate(report.residuals, start=1)))

@@ -109,6 +109,11 @@ def test_config_error_paths(tmp_path):
         load_config(tmp_path / "list.yaml")
     with pytest.raises(ConfigError, match="non-finite"):
         load_config(write_cfg(tmp_path / "nan.yaml", {"sim": {"x0": float("nan")}}))
+    with pytest.raises(ConfigError, match=r"crosscheck\.observations\[1\] is non-finite"):
+        load_config(write_cfg(tmp_path / "inf.yaml",
+                              {"crosscheck": {"observations": [0.0, float("inf")]}}))
+    with pytest.raises(ConfigError, match=r"solver\.tol is non-finite"):
+        load_config(write_cfg(tmp_path / "ok.yaml", {}), {"solver": {"tol": float("inf")}})
     with pytest.raises(ConfigError, match="grid_k"):
         load_config(write_cfg(tmp_path / "bad.yaml", {"solver": {"grid_k": 0}}))
 
@@ -313,6 +318,21 @@ def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
     ("sweep", {"sweep": {"sigmas": 0.1, "grid_k": 3}}, [], "sweep.sigmas"),
     ("simulate", {"sim": {"x0": 0.5}}, [], "sim.x0"),
     ("crosscheck", {"crosscheck": {"observations": [0.0, 0.5]}}, [], "crosscheck.observations"),
+    ("simulate", {"sim": {"horizon": -1.0}}, [], "sim.horizon"),
+    ("sweep", {"solver": dict(FAST_SOLVER, kernel="box"), "sweep": {"grid_k": 3}}, [],
+     "solver.kernel"),
+    ("solve", {"solver": dict(FAST_SOLVER, quadrature={"h": 0})}, [], "solver.quadrature"),
+    ("solve", {"solver": dict(FAST_SOLVER, family={"actions": [2.0]})}, [],
+     "solver.family.actions"),
+    ("solve", {"solver": dict(FAST_SOLVER, family={"taus": {"start": 0.1, "stop": 0.5,
+                                                            "step": 0}})}, [],
+     "solver.family.taus"),
+    ("solve", {"solver": dict(FAST_SOLVER, family={"taus": {"start": 0.5, "stop": 0.1,
+                                                            "step": 0.1}})}, [],
+     "solver.family.taus"),
+    ("solve", {}, ["--sigma", "abc"], "solver.sigma"),
+    ("solve", {}, ["--sigma", "inf"], "solver.sigma"),
+    ("solve", {}, ["--tol", "inf"], "solver.tol"),
 ])
 def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key):
     # each of these used to reach the library and end in a traceback

@@ -98,18 +98,8 @@ def test_flow_initial_condition_is_exact():
         assert P.flow(m, [y], P.RelaxedControl.constant(0.5), 0.0)[0] == y
 
 
-def test_closed_form_flow_without_a_path_callable():
-    def phi(y, control, t):
-        return np.asarray(y, dtype=float) + control.mixture_at(0.0).mean_action() * t
-
-    m = toy_model(drift=P.ClosedFormFlow(phi=phi))
-    r = P.RelaxedControl.constant(0.5)
-    out = P.flow_path(m, [1.0], r, np.array([0.0, 1.0, 2.0]))
-    assert np.allclose(out[:, 0], [1.0, 1.5, 2.0])
-
-
 def test_flow_matches_closed_form_drift(steering):
-    m_field = toy_model(b=lambda y, a: np.broadcast_to(a, y.shape).astype(float))
+    m_field = toy_model(drift=P.velocity_field())
     r = P.RelaxedControl.from_pieces([(0.0, 1.0), (0.3, -0.5), (0.9, 0.25)])
     ts = np.linspace(0.0, 2.0, 21)
     closed = P.flow_path(steering, [0.5], r, ts)

@@ -324,6 +324,20 @@ def test_default_horizon_bound(steering):
     assert 16.0 < H < 18.0
 
 
+def test_horizon_must_be_finite_and_non_negative(steering):
+    # below t = 0 the cost tables used to be extrapolated into negative costs
+    stay = P.RelaxedControl.constant(0.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="horizon"):
+            P.evaluate_policy_mc(steering, -2.0, stay, 20, 1, horizon=bad)
+        with pytest.raises(ValueError, match="horizon"):
+            P.simulate_trajectory(steering, -2.0, stay, (1, 0), cost_horizon=bad)
+    # a zero horizon truncates every run at its start, at no cost
+    assert P.evaluate_policy_mc(steering, -2.0, stay, 20, 1, horizon=0.0) == (0.0, 0.0)
+    traj = P.simulate_trajectory(steering, -2.0, stay, (1, 0), cost_horizon=0.0)
+    assert traj.total_cost == 0.0 and traj.truncated
+
+
 def test_mixture_controls_match_their_mean_action(steering):
     # with uncontrolled hazard, kernel and cost, the process law depends on
     # the control only through the flow, which follows the mean action
