@@ -137,7 +137,7 @@ _DEFAULTS = {
         "x0": 0.0,
         "policy": {"kind": "solved", "a": 0.0, "tau": 0.5},
         "record_trajectories": 10,
-        "workers": 1,
+        "workers": "auto",
     },
     "crosscheck": {"observations": [-2.0, 0.0, 2.0]},
     "sweep": {"sigmas": [0.2, 0.1, 0.05], "grid_k": 15},
@@ -187,28 +187,37 @@ class RunConfig:
                 if key not in inline:
                     raise ConfigError(f"inline model is missing '{key}'")
         sol = self.resolved["solver"]
-        if not (isinstance(sol["grid_k"], int) and sol["grid_k"] >= 1):
+        if not _is_positive_int(sol["grid_k"]):
             raise ConfigError("solver.grid_k must be a positive integer")
-        if not (float(sol["tol"]) > 0):
-            raise ConfigError("solver.tol must be positive")
+        if not _number(sol["tol"]) > 0:
+            raise ConfigError("solver.tol must be a positive number")
+        if not _is_positive_int(sol["max_iter"]):
+            raise ConfigError("solver.max_iter must be a positive integer")
         sig = sol["sigma"]
-        if sig != "plain" and not (isinstance(sig, (int, float)) and sig > 0):
+        if sig != "plain" and not (_is_real(sig) and sig > 0):
             raise ConfigError("solver.sigma must be 'plain' or a positive bandwidth")
         sim = self.resolved["sim"]
-        if not (isinstance(sim["n_traj"], int) and sim["n_traj"] >= 1):
+        if not _is_positive_int(sim["n_traj"]):
             raise ConfigError("sim.n_traj must be a positive integer")
-        if not (isinstance(sim["seed"], int) and sim["seed"] >= 0):
+        if sim["workers"] != "auto" and not _is_positive_int(sim["workers"]):
+            raise ConfigError("sim.workers must be 'auto' or a positive integer")
+        if math.isnan(_number(sim["x0"])):
+            raise ConfigError("sim.x0 must be a number")
+        if not (_is_int(sim["seed"]) and sim["seed"] >= 0):
             raise ConfigError("sim.seed must be a non-negative integer")
         if sim["horizon"] != "auto" and not _is_non_negative_number(sim["horizon"]):
             raise ConfigError("sim.horizon must be 'auto' or a finite non-negative number")
         sweep = self.resolved["sweep"]
-        if not (isinstance(sweep["grid_k"], int) and sweep["grid_k"] >= 1):
+        if not _is_positive_int(sweep["grid_k"]):
             raise ConfigError("sweep.grid_k must be a positive integer")
         sigmas = sweep["sigmas"]
         if not (isinstance(sigmas, list)
-                and all(isinstance(s, (int, float)) and s > 0 for s in sigmas)
+                and all(_is_real(s) and s > 0 for s in sigmas)
                 and all(b < a for a, b in zip(sigmas, sigmas[1:]))):
             raise ConfigError("sweep.sigmas must be strictly decreasing positive bandwidths")
+        obs = self.resolved["crosscheck"]["observations"]
+        if not (isinstance(obs, list) and not any(math.isnan(_number(v)) for v in obs)):
+            raise ConfigError("crosscheck.observations must be a list of numbers")
 
     def dump(self) -> str:
         """The resolved configuration as YAML with sorted keys."""
@@ -288,6 +297,11 @@ class RunConfig:
         h = self.resolved["sim"]["horizon"]
         return default_horizon(model) if h == "auto" else float(h)
 
+    def workers(self) -> int | None:
+        """Simulation threads; None, the engine's default layout, for 'auto'."""
+        w = self.resolved["sim"]["workers"]
+        return None if w == "auto" else w
+
 
 def load_config(path, flags: dict | None = None) -> RunConfig:
     """Parse a YAML config and merge it, then the ``flags`` override
@@ -322,11 +336,31 @@ def _non_finite_key(node, key: str = "") -> str | None:
     return next(filter(None, (_non_finite_key(v, k) for k, v in items)), None)
 
 
-def _is_non_negative_number(value) -> bool:
+def _number(value) -> float:
+    """``value`` as a float, or NaN when it is not a number (a YAML
+    ``true`` or ``false`` is not one)."""
+    if isinstance(value, bool):
+        return math.nan
     try:
-        return 0.0 <= float(value) < math.inf
+        return float(value)
     except (TypeError, ValueError):
-        return False
+        return math.nan
+
+
+def _is_non_negative_number(value) -> bool:
+    return 0.0 <= _number(value) < math.inf
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_int(value) -> bool:
+    return _is_int(value) and value >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +407,17 @@ def _sigma_flag(ctx, param, text):
                           f"got {text!r}") from None
 
 
+def _workers_flag(ctx, param, text):
+    """``--workers`` text as the value a config file would hold."""
+    if text is None or text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"sim.workers must be 'auto' or a positive integer, "
+                          f"got {text!r}") from None
+
+
 # flag name -> config section of the key it overrides
 _FLAG_SECTIONS = {"grid_k": "solver", "tol": "solver", "sigma": "solver",
                   "seed": "sim", "workers": "sim"}
@@ -387,7 +432,9 @@ _shared = [
     click.option("--sigma", default=None, callback=_sigma_flag,
                  help="Override solver.sigma ('plain' or bandwidth)."),
     click.option("--seed", type=int, default=None, help="Override sim.seed."),
-    click.option("--workers", type=int, default=None, help="Worker threads for simulation."),
+    click.option("--workers", default=None, callback=_workers_flag,
+                 help="Override sim.workers ('auto', one per usable core and 12.5k "
+                      "trajectories, or a count)."),
 ]
 
 
@@ -447,10 +494,13 @@ def simulate(cfg: RunConfig, out: Path):
     if pol_cfg["kind"] == "solved":
         family, _, vg, _ = _solve(cfg, model)
         policy = extract_policy(vg, family)
-    elif pol_cfg["kind"] == "constant":
-        policy = RelaxedControl.constant(float(pol_cfg["a"]))
-    elif pol_cfg["kind"] == "switch":
-        policy = switch_control(float(pol_cfg["a"]), float(pol_cfg["tau"]))
+    elif pol_cfg["kind"] in ("constant", "switch"):
+        try:
+            policy = (RelaxedControl.constant(float(pol_cfg["a"])) if pol_cfg["kind"] == "constant"
+                      else switch_control(float(pol_cfg["a"]), float(pol_cfg["tau"])))
+            model.check_control(policy)
+        except (ValueError, TypeError) as err:  # InvalidControlError is a ValueError
+            raise ConfigError(f"sim.policy: {err}") from None
     else:
         raise ConfigError("sim.policy.kind must be solved, constant or switch")
     x0 = float(sim_cfg["x0"])
@@ -458,7 +508,7 @@ def simulate(cfg: RunConfig, out: Path):
     n_traj = int(sim_cfg["n_traj"])
     seed_v = int(sim_cfg["seed"])
     mean, se = evaluate_policy_mc(model, x0, policy, n_traj, seed_v, horizon=horizon,
-                                  workers=int(sim_cfg["workers"]))
+                                  workers=cfg.workers())
     write_csv(out / "evaluation.csv", ["x0", "n_traj", "seed", "mean_cost", "stderr"],
               [[_fmt(x0), str(n_traj), str(seed_v), _fmt(mean), _fmt(se)]])
 
@@ -521,7 +571,7 @@ def crosscheck(cfg: RunConfig, out: Path):
     sim_cfg = cfg.resolved["sim"]
     report_cc = cross_check(model, policy, observations, n_traj=int(sim_cfg["n_traj"]),
                             seed=int(sim_cfg["seed"]), horizon=cfg.horizon(model),
-                            workers=int(sim_cfg["workers"]), sweep=sweep)
+                            workers=cfg.workers(), sweep=sweep)
     write_csv(out / "zscores.csv", ["x0", "mc_mean", "stderr", "mdp_value", "z"],
               ([_fmt(r.x0), _fmt(r.mc_mean), _fmt(r.stderr), _fmt(r.mdp_value), _fmt(r.z)]
                for r in report_cc.rows))

@@ -30,6 +30,7 @@ the tests compare the bank with.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import warnings
 from dataclasses import dataclass
@@ -121,7 +122,8 @@ class _ControlTables:
 
 class SimTables:
     """Flow, hazard-integral and discounted-cost paths per control on a fine
-    shared grid covering ``[0, horizon]``, the reach of every engine run.
+    shared grid covering ``[0, horizon]``, the reach of every engine run, and
+    the observation likelihoods of every (next state, noise offset) pair.
 
     Moving the horizon out, between runs only, extends the grid (old nodes
     are a prefix of the new ones, and values at old interior nodes are
@@ -135,6 +137,13 @@ class SimTables:
         if not 0.0 <= self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and non-negative, got {horizon}")
         self._n = max(2, math.ceil(self.horizon / _SIM_STEP)) + 1
+        # the observation emitted from next state y with noise offset e, and
+        # its likelihood at every state, likelihood[y, e]: one table for all
+        # of a run's chunks and jumps
+        states = model.post_jump_states
+        self.emitted = states[:, None, :] + model.noise.offsets[None, :, :]
+        self.likelihood = model.noise.density(self.emitted[:, :, None, :]
+                                              - states[None, None, :, :])
         self._entries: dict[RelaxedControl, _ControlTables] = {}
         self._lock = threading.Lock()
 
@@ -325,35 +334,48 @@ class _StreamBank:
     state is seeded by ``_pcg64_seed``, stepped by ``_pcg64_step`` and output
     by XSL-RR (the halves xor-ed, rotated right by the top six state bits),
     and a double is the output's top 53 bits times 2**-53.  A take refills
-    only its exhausted rows, ``block`` draws each, one step across those rows
-    at a time, so temporaries stay row-sized.
+    only the rows with fewer unread draws than it takes, up to ``block``
+    draws each, one step across those rows at a time, so temporaries stay
+    row-sized.
     """
 
     def __init__(self, seed: int, indices, block: int = 16):
         self._state, self._inc = _pcg64_seed(seed, indices)
         n = self._state.shape[1]
         self._block = block
-        self._buf = np.empty((n, block))
+        # draw j of row r sits at [j, r]: rows mostly move in step, so a take
+        # reads one contiguous stretch of the buffer rather than one cache
+        # line per row
+        self._buf = np.empty((block, n))
         self._pos = np.full(n, block, dtype=np.int64)
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        exhausted = rows[self._pos[rows] >= self._block]
-        if exhausted.size:
-            self._refill(exhausted)
-        out = self._buf[rows, self._pos[rows]]
-        self._pos[rows] += 1
-        return out
+    def take(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
+        """The next ``k`` (at most the block) draws of each of the distinct
+        ``rows``, (k, m)."""
+        pos = self._pos[rows]
+        short = pos + k > self._block
+        if short.any():
+            self._refill(rows[short])
+            pos[short] = 0
+        self._pos[rows] = pos + k
+        width = self._buf.shape[1]
+        return self._buf.ravel()[pos * width + rows + (np.arange(k) * width)[:, None]]
 
     def _refill(self, rows: np.ndarray) -> None:
-        (lo, hi), inc = self._state[:, rows], self._inc[:, rows]
-        for j in range(self._block):
-            lo, hi = _pcg64_step(lo, hi, inc)
-            rot = hi >> 58
-            x = lo ^ hi
-            x = (x >> rot) | (x << ((64 - rot) & 63))
-            self._buf[rows, j] = (x >> 11) * 2.0 ** -53
-        self._state[:, rows] = lo, hi
-        self._pos[rows] = 0
+        """Move each row's unread draws to the front of its buffer and fill
+        the rest with the draws that follow them."""
+        for left, g in _index_groups(self._block - self._pos[rows]):
+            r = rows[g]
+            self._buf[:left, r] = self._buf[self._block - left:, r]
+            (lo, hi), inc = self._state[:, r], self._inc[:, r]
+            for j in range(left, self._block):
+                lo, hi = _pcg64_step(lo, hi, inc)
+                rot = hi >> 58
+                x = lo ^ hi
+                x = (x >> rot) | (x << ((64 - rot) & 63))
+                self._buf[j, r] = (x >> 11) * 2.0 ** -53
+            self._state[:, r] = lo, hi
+            self._pos[r] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +473,8 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
     ``max_jumps``-th jump), drawing row r's uniforms from ``bank`` row r."""
     d = model.n_states
     horizon = tables.horizon
-    states_pts = model.post_jump_states
     beta = model.discount
     lam_bar = model.hazard_bounds[1]
-    offsets = model.noise.offsets
     noise_cum = np.cumsum(model.noise.weights)
 
     if y0 is not None:
@@ -465,7 +485,7 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
         mu0 = np.asarray(model.initial_kernel(np.atleast_1d(np.asarray(x0, dtype=float))),
                          dtype=float)
         mu0 = mu0 / mu0.sum()
-        u = bank.take(np.arange(n))
+        u, = bank.take(np.arange(n))
         y = _inverse_cdf(np.cumsum(mu0), u)
     initial_hidden = y.copy()
     beliefs = np.tile(mu0, (n, 1))
@@ -487,21 +507,21 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             elapsed = np.zeros(m)
             pend = np.ones(m, dtype=bool)
             accepted = np.zeros(m, dtype=bool)
-            s_acc = np.zeros(m)
             atom_acc = np.zeros(m, dtype=np.int64)
+            pos_acc = np.zeros((m, d, model.space_dim))
             while pend.any():
                 p = np.flatnonzero(pend)
-                u1 = bank.take(sub[p])
+                u1, = bank.take(sub[p])
                 elapsed[p] -= np.log1p(-u1) / lam_bar
                 over = T[sub[p]] + elapsed[p] >= horizon
                 pend[p[over]] = False
                 live = p[~over]
                 if live.size == 0:
                     continue
-                u2 = bank.take(sub[live])
-                u3 = bank.take(sub[live])
+                u2, u3 = bank.take(sub[live], 2)
                 s_prop = elapsed[live]
-                pos = tables.position(tb, s_prop)[np.arange(live.size), y[sub[live]]]
+                pos_all = tables.position(tb, s_prop)
+                pos = pos_all[np.arange(live.size), y[sub[live]]]
                 piece = control.piece_index_at(s_prop)
                 atom = np.empty(live.size, dtype=np.int64)
                 for pc, g in _index_groups(piece):
@@ -514,8 +534,8 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
                 hit = live[ok]
                 pend[hit] = False
                 accepted[hit] = True
-                s_acc[hit] = s_prop[ok]
                 atom_acc[hit] = atom[ok]
+                pos_acc[hit] = pos_all[ok]
 
             # horizon-truncated members of this group
             cut = sub[~accepted]
@@ -532,27 +552,32 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
             jumped = sub[accepted]
             if jumped.size == 0:
                 continue
-            s = s_acc[accepted]
+            s = elapsed[accepted]  # an accepted row's elapsed time stops at its jump
             seg = np.exp(-beta * T[jumped]) * tables.lerp(tb.cum_cost, s, y[jumped])
             cost[jumped] += seg
-            pos_all = tables.position(tb, s)
+            pos_all = pos_acc[accepted]
             pos_j = pos_all[np.arange(jumped.size), y[jumped]]
-            u4 = bank.take(jumped)
-            u5 = bank.take(jumped)
+            u4, u5 = bank.take(jumped, 2)
             y_next = np.empty(jumped.size, dtype=np.int64)
             atoms = atom_acc[accepted]
             for a, g in _index_groups(atoms):
                 rows_k = np.asarray(model.jump_kernel(pos_j[g], tb.atom_actions[a]), dtype=float)
                 y_next[g] = _rowwise_inverse_cdf(np.cumsum(rows_k, axis=1), u4[g])
             eps_idx = _inverse_cdf(noise_cum, u5)
-            x = states_pts[y_next] + offsets[eps_idx]
+            x = tables.emitted[y_next, eps_idx]
 
-            # exact Bayes update of the beliefs, using the full mixture at s
-            egam = np.exp(-tables.lerp(tb.lam_int, s))
-            hk = ControlPath(model, control, pos_all, control.piece_index_at(s)[:, None]).kernel_rows
-            fac = model.noise.density(x[:, None, :] - states_pts[None, :, :])
+            # exact Bayes update of the beliefs, using the full mixture at s;
+            # kernel rows are needed only where the belief is positive, and
+            # the zeros elsewhere meet zero weights in the same einsum
+            prior = beliefs[jumped]
+            weights = prior * np.exp(-tables.lerp(tb.lam_int, s))
+            live_pairs = prior > 0
+            hk = np.zeros((jumped.size, d, d))
+            piece = np.broadcast_to(control.piece_index_at(s)[:, None], live_pairs.shape)
+            hk[live_pairs] = ControlPath(model, control, pos_all[live_pairs],
+                                         piece[live_pairs]).kernel_rows
             # the products and order of einsum("gi,gi,giu->gu", ...), about 5x faster
-            numer = np.einsum("gi,giu->gu", beliefs[jumped] * egam, hk) * fac
+            numer = np.einsum("gi,giu->gu", weights, hk) * tables.likelihood[y_next, eps_idx]
             den = numer.sum(axis=1)
             if np.any(den <= 0):
                 b = int(np.argmax(den <= 0))
@@ -695,17 +720,40 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
     )
 
 
+# rows per chunk in the default layout: two chunks of 12.5k rows on two cores
+# is the only multi-core layout measured to pay.  The per-jump loop holds the
+# interpreter lock between numpy calls, so smaller chunks may lose more to
+# contention than another core gains.
+_AUTO_CHUNK_ROWS = 12_500
+
+
+def _auto_workers(n_traj: int) -> int:
+    """One worker per usable core, but at most one per ``_AUTO_CHUNK_ROWS``
+    trajectories (and at least one)."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, max(1, n_traj // _AUTO_CHUNK_ROWS))
+
+
 def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
-                       horizon: float | None = None, workers: int = 1):
+                       horizon: float | None = None, workers: int | None = None):
     """Sample mean and standard error of the discounted cost under a policy.
 
-    Trajectory ``i`` always uses stream (seed, i), so the result is
-    independent of chunking and worker count.  A callable policy assigns
-    control ids as it meets them and runs in one chunk, so ``workers > 1``
-    then warns and runs single-threaded.
+    The trajectories are split into one contiguous chunk per worker thread
+    (never more chunks than trajectories); ``workers=None`` means one per
+    usable core, capped at one per ``_AUTO_CHUNK_ROWS`` (12,500)
+    trajectories.  The calling thread runs the first chunk and a pool of
+    ``workers - 1`` threads the rest.  Trajectory ``i`` always uses stream
+    (seed, i), so the result is independent of chunking and worker count.
+    A callable policy assigns control ids as it meets them and runs in one
+    chunk, so an explicit ``workers > 1`` then warns and runs single-threaded.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
+    if workers is not None and not workers >= 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     horizon = default_horizon(model) if horizon is None else float(horizon)
     driver = _make_driver(policy)
     tables = SimTables(model, horizon)
@@ -715,18 +763,19 @@ def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
         res = _simulate_batch(model, driver, tables, bank, hi - lo, x0=x0, record=False)
         return res.costs
 
-    workers = max(1, int(workers))
-    if workers > 1 and isinstance(driver, _CallableDriver):
-        warnings.warn(f"workers={workers} ignored: a callable policy runs single-threaded",
-                      RuntimeWarning, stacklevel=2)
+    if isinstance(driver, _CallableDriver):
+        if workers is not None and workers > 1:
+            warnings.warn(f"workers={workers} ignored: a callable policy runs single-threaded",
+                          RuntimeWarning, stacklevel=2)
         workers = 1
-    if workers == 1:
-        costs = run_chunk(0, n_traj)
-    else:
-        bounds = np.linspace(0, n_traj, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: run_chunk(*ab), zip(bounds[:-1], bounds[1:])))
-        costs = np.concatenate(parts)
+    elif workers is None:
+        workers = _auto_workers(n_traj)
+    bounds = np.linspace(0, n_traj, min(int(workers), n_traj) + 1).astype(int)
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    # a pool starts its threads on submit, so one chunk starts none
+    with ThreadPoolExecutor(max_workers=max(1, len(chunks) - 1)) as pool:
+        rest = [pool.submit(run_chunk, lo, hi) for lo, hi in chunks[1:]]
+        costs = np.concatenate([run_chunk(*chunks[0])] + [f.result() for f in rest])
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return mean, stderr
@@ -752,7 +801,7 @@ class CrossCheckReport:
 
 def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: int,
                 seed: int = 0, horizon: float | None = None,
-                workers: int = 1, sweep: BellmanSweep | None = None) -> CrossCheckReport:
+                workers: int | None = None, sweep: BellmanSweep | None = None) -> CrossCheckReport:
     """Compare Monte Carlo continuous-time cost against the filtered-MDP
     policy value (the T_f fixed point) at each initial observation.
 

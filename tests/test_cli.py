@@ -333,6 +333,24 @@ def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
     ("solve", {}, ["--sigma", "abc"], "solver.sigma"),
     ("solve", {}, ["--sigma", "inf"], "solver.sigma"),
     ("solve", {}, ["--tol", "inf"], "solver.tol"),
+    *[("simulate", {"sim": {"workers": bad}}, [], "sim.workers")
+      for bad in (0, -1, 1.5, "abc", True)],
+    ("simulate", {}, ["--workers", "0"], "sim.workers"),
+    ("simulate", {}, ["--workers", "abc"], "sim.workers"),
+    ("simulate", {"sim": {"policy": {"kind": "constant", "a": 2.0}}}, [], "sim.policy"),
+    ("simulate", {"sim": {"policy": {"kind": "switch", "a": -3.0, "tau": 0.5}}}, [],
+     "sim.policy"),
+    ("solve", {"solver": dict(FAST_SOLVER, tol="abc")}, [], "solver.tol"),
+    ("solve", {"solver": dict(FAST_SOLVER, max_iter="abc")}, [], "solver.max_iter"),
+    ("simulate", {"sim": {"x0": "abc"}}, [], "sim.x0"),
+    ("crosscheck", {"crosscheck": {"observations": [0.0, "abc"]}}, [], "crosscheck.observations"),
+    # a YAML true is not the number 1
+    ("solve", {"solver": dict(FAST_SOLVER, tol=True)}, [], "solver.tol"),
+    ("solve", {"solver": dict(FAST_SOLVER, sigma=True)}, [], "solver.sigma"),
+    ("simulate", {"sim": {"x0": True}}, [], "sim.x0"),
+    ("simulate", {"sim": {"seed": True}}, [], "sim.seed"),
+    ("simulate", {"sim": {"horizon": True}}, [], "sim.horizon"),
+    ("crosscheck", {"crosscheck": {"observations": [True]}}, [], "crosscheck.observations"),
 ])
 def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key):
     # each of these used to reach the library and end in a traceback

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -31,19 +34,23 @@ _stream_ids = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**40),
        st.sampled_from([1, 2, 5, 16, 64]), st.data())
 def test_stream_bank_draws_the_numpy_streams(seed, indices, block, data):
     # ragged takes (random row subsets, rows recurring across refills, so
-    # that refills are partial) against RngStream(seed, i).generator()
+    # that refills are partial; one to three adjacent draws per row, so that
+    # a refill may keep unread draws) against RngStream(seed, i).generator()
     big = max(indices) >= 2**63
     bank = sim._StreamBank(seed, np.array(indices, dtype=object if big else np.int64),
                            block=block)
     n = len(indices)
-    takes = data.draw(st.lists(st.lists(st.integers(0, n - 1), unique=True), max_size=90))
+    takes = data.draw(st.lists(st.tuples(
+        st.lists(st.integers(0, n - 1), unique=True),
+        st.integers(1, min(block, 3))), max_size=90))
     used = np.zeros(n, dtype=np.int64)
-    want = [P.RngStream(seed, i).generator().random(len(takes)) for i in indices]
-    for rows in takes:
+    want = [P.RngStream(seed, i).generator().random(3 * len(takes)) for i in indices]
+    for rows, k in takes:
         rows = np.array(rows, dtype=np.int64)
-        got = bank.take(rows)
-        assert np.array_equal(got, [want[r][used[r]] for r in rows])
-        used[rows] += 1
+        got = bank.take(rows, k)
+        expected = [want[r][used[r]:used[r] + k] for r in rows]
+        assert np.array_equal(got, np.reshape(expected, (rows.size, k)).T)
+        used[rows] += k
 
 
 def test_stream_bank_rejects_negative_seeds_and_indices():
@@ -55,13 +62,14 @@ def test_stream_bank_rejects_negative_seeds_and_indices():
 
 
 class _GeneratorBank:
-    """Reference bank: one numpy generator per row, one scalar draw per take."""
+    """Reference bank: one numpy generator per row, one scalar draw per row
+    and draw."""
 
     def __init__(self, seed, indices):
         self._gens = [P.RngStream(seed, int(i)).generator() for i in indices]
 
-    def take(self, rows):
-        return np.array([self._gens[r].random() for r in rows])
+    def take(self, rows, k=1):
+        return np.array([[self._gens[r].random() for r in rows] for _ in range(k)])
 
 
 def test_engine_draws_match_the_per_row_generator_reference(steering, family, solved15,
@@ -261,13 +269,97 @@ def test_worker_count_does_not_change_results(steering, family, solved15):
     a = P.evaluate_policy_mc(steering, 2.0, policy, 400, seed=9, workers=1)
     b = P.evaluate_policy_mc(steering, 2.0, policy, 400, seed=9, workers=3)
     assert a == b
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            P.evaluate_policy_mc(steering, 2.0, policy, 400, seed=9, workers=bad)
+
+
+def test_default_workers_are_one_per_core_with_a_chunk_floor(monkeypatch):
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    rows = sim._AUTO_CHUNK_ROWS
+    assert sim._auto_workers(1) == 1
+    assert sim._auto_workers(2 * rows - 1) == 1
+    assert sim._auto_workers(2 * rows) == 2
+    assert sim._auto_workers(100 * rows) == 8
+
+
+def _solved_policy(model, family, k):
+    vg, _ = P.value_iteration(model, P.build_simplex_grid(model.n_states, k), family, tol=1e-4)
+    return P.extract_policy(vg, family)
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(steering, family, solved15):
+    """(model, x0, policy, seed) of each pinned evaluate_policy_mc run."""
+    mix = P.RelaxedControl.from_pieces([(0.0, P.ActionMixture.of([(1.0, 0.3), (-1.0, 0.7)])),
+                                        (0.6, 0.5)])
+    mix_family = P.ControlFamily((mix, P.RelaxedControl.constant(0.0),
+                                  P.switch_control(-1.0, 0.5)))
+    table = P.table_model(
+        states=[-2.0, 0.0, 2.0],
+        cost_table=[(-2.0, 0.0), (2.0, 2.0)],
+        kernel_table=[(-2.0, 1.0, 0.0, 0.0), (-1.5, 0.0, 1.0, 0.0),
+                      (1.5, 0.0, 1.0, 0.0), (2.0, 0.0, 0.0, 1.0)],
+        hazard=[(-2.0, 0.8), (2.0, 1.6)],
+        noise_offsets=[-1.0, 0.0, 1.0],
+        noise_weights=[1 / 3, 1 / 3, 1 / 3],
+    )
+    planar = planar_model()
+    planar_family = P.ControlFamily((P.RelaxedControl.constant(0.0),
+                                     P.RelaxedControl.from_pieces([(0.0, 1.0), (0.4, 0.0)])))
+    return {
+        "bang": (steering, -2.0, P.extract_policy(solved15[1], family), 61),
+        "mixture": (steering, -2.0, _solved_policy(steering, mix_family, 8), 62),
+        "hazard table": (table, 2.0, _solved_policy(table, P.switching_family(taus=[0.5]), 6), 63),
+        "planar": (planar, np.array([2.0, 1.0]), _solved_policy(planar, planar_family, 6), 64),
+    }
+
+
+# (mean, stderr) of 1000 trajectories of each pinned run, bit for bit: the
+# thread layout and the order of the per-jump work must not move them
+_PINNED = {
+    "bang": (2.241304202985316, 0.01680374583366609),
+    "mixture": (9.03064624374082, 0.026800623417416344),
+    "hazard table": (1.3171414621182906, 0.00644257808945463),
+    "planar": (0.9769637311402694, 0.02064636892490792),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_mc_results_are_pinned_at_every_worker_count(pinned_runs, workers):
+    for name, (model, x0, policy, seed) in pinned_runs.items():
+        got = P.evaluate_policy_mc(model, x0, policy, 1000, seed, workers=workers)
+        assert got == _PINNED[name], name
+
+
+def test_more_threads_than_cores_under_fast_switching_match_one(pinned_runs):
+    # four chunks share the lazily built path tables and the policy lookup
+    # while the interpreter switches threads every microsecond; a lost or
+    # mixed-up update would move a bit
+    model, x0, policy, seed = pinned_runs["mixture"]
+    ref = P.evaluate_policy_mc(model, x0, policy, 400, seed, workers=1)
+    got = {}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.update(
+            mc=P.evaluate_policy_mc(model, x0, policy, 400, seed, workers=4)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive()
+    assert got["mc"] == ref
 
 
 def test_workers_with_a_callable_policy_warn_and_run_single_threaded(steering):
     rule = P.DiscretePolicy(lambda probs: P.RelaxedControl.constant(0.0))
     with pytest.warns(RuntimeWarning, match="workers=2 ignored"):
         many = P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19, workers=2)
-    assert many == P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19)
+    # the default, one worker per usable core, resolves to one without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert many == P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19)
 
 
 def test_always_left_from_the_left_plateau_is_deterministic(steering):
