@@ -7,6 +7,7 @@ from .filtering import (
     ImpossibleObservationError,
     RegularizationKernel,
     filter_trajectory,
+    initial_belief,
     q_tilde,
     q_tilde_sx,
     update,

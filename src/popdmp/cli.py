@@ -34,10 +34,10 @@ import yaml
 
 from .catalog import BUILTIN_MODELS, build_builtin, table_model
 from .filtering import (KERNEL_KINDS, ImpossibleObservationError, RegularizationKernel,
-                        filter_trajectory)
+                        filter_trajectory, initial_belief)
 from .mdp import ControlFamily, StageContext, StageQuadrature, switch_control, switching_family
 from .model import ActionMixture, InvalidControlError, PopdmpModel, RelaxedControl
-from .sim import cross_check, default_horizon, evaluate_policy_mc, simulate_trajectory
+from .sim import cross_check, evaluate_policy_mc, simulate_trajectory
 from .solver import (
     BellmanSweep,
     _fmt,
@@ -205,6 +205,8 @@ class RunConfig:
             raise ConfigError("sim.x0 must be a number")
         if not (_is_int(sim["seed"]) and sim["seed"] >= 0):
             raise ConfigError("sim.seed must be a non-negative integer")
+        if not (_is_int(sim["record_trajectories"]) and sim["record_trajectories"] >= 0):
+            raise ConfigError("sim.record_trajectories must be a non-negative integer")
         if sim["horizon"] != "auto" and not _is_non_negative_number(sim["horizon"]):
             raise ConfigError("sim.horizon must be 'auto' or a finite non-negative number")
         sweep = self.resolved["sweep"]
@@ -293,9 +295,10 @@ class RunConfig:
             return None
         return RegularizationKernel(self.kernel_kind(), float(sig))
 
-    def horizon(self, model: PopdmpModel) -> float:
+    def horizon(self) -> float | None:
+        """Simulation horizon; None, the model's default horizon, for 'auto'."""
         h = self.resolved["sim"]["horizon"]
-        return default_horizon(model) if h == "auto" else float(h)
+        return None if h == "auto" else float(h)
 
     def workers(self) -> int | None:
         """Simulation threads; None, the engine's default layout, for 'auto'."""
@@ -370,7 +373,7 @@ def _is_positive_int(value) -> bool:
 def _check_observation(model: PopdmpModel, x0, key: str) -> None:
     """An initial observation must be explained by some post-jump state."""
     try:
-        model.initial_kernel(np.atleast_1d(np.asarray(x0, dtype=float)))
+        initial_belief(model, x0)
     except ImpossibleObservationError as err:
         raise ConfigError(f"{key}: {err}") from None
 
@@ -504,7 +507,7 @@ def simulate(cfg: RunConfig, out: Path):
     else:
         raise ConfigError("sim.policy.kind must be solved, constant or switch")
     x0 = float(sim_cfg["x0"])
-    horizon = cfg.horizon(model)
+    horizon = cfg.horizon()
     n_traj = int(sim_cfg["n_traj"])
     seed_v = int(sim_cfg["seed"])
     mean, se = evaluate_policy_mc(model, x0, policy, n_traj, seed_v, horizon=horizon,
@@ -527,7 +530,8 @@ def simulate(cfg: RunConfig, out: Path):
 
 
 @main.command(name="filter")
-@click.option("--events", "events_path", type=click.Path(), required=True,
+@click.option("--events", "events_path", type=click.Path(exists=True, dir_okay=False),
+              required=True,
               help="CSV with columns r_piece_spec,s,x.")
 @click.option("--x0", type=float, default=None, help="Initial observation (default sim.x0).")
 @_with_shared
@@ -537,14 +541,18 @@ def filter_cmd(cfg: RunConfig, out: Path, events_path, x0):
     events = []
     try:
         with open(events_path) as fh:
-            for n, row in enumerate(csv.DictReader(fh)):
-                s = float(row["s"])
-                if not s > 0:
-                    raise ConfigError(f"bad event log {events_path}: event {n}: "
-                                      "inter-jump time s must be positive")
-                events.append((parse_control(row["r_piece_spec"]), s, float(row["x"])))
-    except (KeyError, ValueError) as err:
-        raise ConfigError(f"bad event log {events_path}: {err}") from None
+            for row in csv.DictReader(fh):
+                control = parse_control(row["r_piece_spec"])
+                model.check_control(control)  # InvalidControlError is a ValueError
+                s, x = float(row["s"]), float(row["x"])
+                if not 0.0 < s < math.inf:
+                    raise ValueError("inter-jump time s must be positive and finite")
+                if not math.isfinite(x):
+                    raise ValueError("observation x must be finite")
+                events.append((control, s, x))
+    # events holds the rows before the bad one; a short row reads None (TypeError)
+    except (KeyError, TypeError, ValueError, ConfigError) as err:
+        raise ConfigError(f"bad event log {events_path}: event {len(events)}: {err}") from None
     x0_val = float(cfg.resolved["sim"]["x0"]) if x0 is None else float(x0)
     _check_observation(model, x0_val, "sim.x0" if x0 is None else "--x0")
     try:
@@ -570,7 +578,7 @@ def crosscheck(cfg: RunConfig, out: Path):
     policy = extract_policy(vg, family)
     sim_cfg = cfg.resolved["sim"]
     report_cc = cross_check(model, policy, observations, n_traj=int(sim_cfg["n_traj"]),
-                            seed=int(sim_cfg["seed"]), horizon=cfg.horizon(model),
+                            seed=int(sim_cfg["seed"]), horizon=cfg.horizon(),
                             workers=cfg.workers(), sweep=sweep)
     write_csv(out / "zscores.csv", ["x0", "mc_mean", "stderr", "mdp_value", "z"],
               ([_fmt(r.x0), _fmt(r.mc_mean), _fmt(r.stderr), _fmt(r.mdp_value), _fmt(r.z)]

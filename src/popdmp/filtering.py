@@ -19,6 +19,7 @@ __all__ = [
     "Belief",
     "RegularizationKernel",
     "ImpossibleObservationError",
+    "initial_belief",
     "q_tilde",
     "q_tilde_sx",
     "update",
@@ -61,16 +62,6 @@ class Belief:
     def __len__(self) -> int:
         return self.probs.size
 
-    @staticmethod
-    def dirac(index: int, d: int) -> "Belief":
-        p = np.zeros(d)
-        p[index] = 1.0
-        return Belief(p)
-
-    @staticmethod
-    def uniform(d: int) -> "Belief":
-        return Belief(np.full(d, 1.0 / d))
-
 
 def as_belief(value, d: int | None = None) -> Belief:
     if isinstance(value, Belief):
@@ -79,6 +70,17 @@ def as_belief(value, d: int | None = None) -> Belief:
     if d is not None and len(b) != d:
         raise ValueError(f"belief has length {len(b)}, expected {d}")
     return b
+
+
+def initial_belief(model: PopdmpModel, x0) -> Belief:
+    """mu_0 = Q_0(.|x0), where the filter and the simulator start: a length-d
+    Belief, so a kernel output outside its 1e-8 window raises ValueError; a
+    non-finite observation, or one no state explains, raises
+    ImpossibleObservationError."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ImpossibleObservationError(f"observation {x} is not finite")
+    return as_belief(model.initial_kernel(x), model.n_states)
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,7 @@ def filter_trajectory(model: PopdmpModel, x0, events,
     triples; ``mu_0 = Q_0(.|x0)``.  A zero-likelihood observation raises
     ImpossibleObservationError tagged with the event index.
     """
-    mu = Belief(np.asarray(model.initial_kernel(np.atleast_1d(np.asarray(x0, dtype=float))),
-                           dtype=float))
+    mu = initial_belief(model, x0)
     out = [mu]
     for n, (control, s, x) in enumerate(events):
         if s <= 0:

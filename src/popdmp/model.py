@@ -162,6 +162,8 @@ def _check_actions_in_box(control: RelaxedControl, box: np.ndarray) -> None:
                 raise InvalidControlError(
                     f"action {a} has dimension {av.shape}, action box expects {box.shape[0]}"
                 )
+            if not all(map(math.isfinite, av.tolist())):
+                raise InvalidControlError(f"action {a} is not finite")
             if np.any(av < box[:, 0] - 1e-12) or np.any(av > box[:, 1] + 1e-12):
                 raise InvalidControlError(f"action {a} lies outside the action box")
 
@@ -205,13 +207,14 @@ class NoiseModel:
         """Noise density at observation-minus-state differences, (..., D) -> (...).
 
         A delta matches the first offset within ``match_tol * (1 + max|delta|)``
-        in every coordinate; the filter, the simulator and
+        in every coordinate, unless that tolerance is not finite (an infinite
+        delta would match anything); the filter, the simulator and
         ``PopdmpModel.observation_atoms`` all match through this rule.
         """
         d = np.asarray(deltas, dtype=float)
         tol = self.match_tol * (1.0 + np.abs(d).max(axis=-1, initial=0.0))
         out = np.zeros(d.shape[:-1])
-        free = np.ones(d.shape[:-1], dtype=bool)
+        free = np.isfinite(tol)
         for off, w in zip(self.offsets, self.weights):
             hit = free & np.all(np.abs(d - off) <= tol[..., None], axis=-1)
             out += w * hit  # branch-free: masked stores are slow on random masks
@@ -577,8 +580,9 @@ def _lambda_paths(model: PopdmpModel, starts, control: RelaxedControl, times) ->
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1:
         raise ValueError("times must be 1-d")
-    if ts.size and (ts[0] < 0 or np.any(np.diff(ts) < 0)):
-        raise ValueError("times must be sorted and nonnegative")
+    # every comparison with a NaN is false, and an inf is last if anywhere
+    if ts.size and not (ts[0] >= 0 and np.all(np.diff(ts) >= 0) and math.isfinite(ts[-1])):
+        raise ValueError("times must be finite, sorted and nonnegative")
     k = len(starts)
     if ts.size == 0 or ts[-1] == 0.0:
         return np.zeros((k, ts.size))

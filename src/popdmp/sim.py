@@ -35,11 +35,12 @@ import threading
 import warnings
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .filtering import ImpossibleObservationError
+from .filtering import Belief, ImpossibleObservationError, initial_belief
 from .grid import ValueGrid, interpolate
 from .model import (_BOUND_TOL, ClosedFormFlow, ControlPath, ModelValidationError, PopdmpModel,
                     RelaxedControl, _index_groups, flow_path)
@@ -124,6 +125,7 @@ class SimTables:
     """Flow, hazard-integral and discounted-cost paths per control on a fine
     shared grid covering ``[0, horizon]``, the reach of every engine run, and
     the observation likelihoods of every (next state, noise offset) pair.
+    The horizon defaults to ``default_horizon(model)``.
 
     Moving the horizon out, between runs only, extends the grid (old nodes
     are a prefix of the new ones, and values at old interior nodes are
@@ -131,9 +133,9 @@ class SimTables:
     from building the same entry twice.
     """
 
-    def __init__(self, model: PopdmpModel, horizon: float):
+    def __init__(self, model: PopdmpModel, horizon: float | None = None):
         self.model = model
-        self.horizon = float(horizon)
+        self.horizon = default_horizon(model) if horizon is None else float(horizon)
         if not 0.0 <= self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and non-negative, got {horizon}")
         self._n = max(2, math.ceil(self.horizon / _SIM_STEP)) + 1
@@ -341,7 +343,7 @@ class _StreamBank:
 
     def __init__(self, seed: int, indices, block: int = 16):
         self._state, self._inc = _pcg64_seed(seed, indices)
-        n = self._state.shape[1]
+        self.n = n = self._state.shape[1]
         self._block = block
         # draw j of row r sits at [j, r]: rows mostly move in step, so a take
         # reads one contiguous stretch of the buffer rather than one cache
@@ -379,58 +381,41 @@ class _StreamBank:
 
 
 # ---------------------------------------------------------------------------
-# policy drivers
+# policies and initial beliefs
 
 
-class _FixedDriver:
-    def __init__(self, control: RelaxedControl):
-        self.controls = [control]
+def _policy_rule(policy) -> tuple[list[RelaxedControl], Callable[[np.ndarray], np.ndarray]]:
+    """A policy as ``(controls, assign)``: its candidate controls, and the
+    rule that maps an (m, d) belief array to the candidate id of each row.
 
-    def assign(self, beliefs: np.ndarray) -> np.ndarray:
-        return np.zeros(beliefs.shape[0], dtype=np.int64)
-
-
-class _GridDriver:
-    def __init__(self, policy: GridPolicy):
-        self._policy = policy
-        self.controls = list(policy.family)
-
-    def assign(self, beliefs: np.ndarray) -> np.ndarray:
-        return self._policy.candidate_indices(beliefs)
-
-
-class _CallableDriver:
-    """Wraps a generic belief -> control rule; distinct controls get ids as
-    they appear (not thread-safe, single-chunk runs only)."""
-
-    def __init__(self, rule):
-        self._rule = rule
-        self.controls: list[RelaxedControl] = []
-        self._ids: dict[RelaxedControl, int] = {}
-
-    def assign(self, beliefs: np.ndarray) -> np.ndarray:
-        out = np.empty(beliefs.shape[0], dtype=np.int64)
-        for n, probs in enumerate(beliefs):
-            control = self._rule(probs)
-            k = self._ids.get(control)
-            if k is None:
-                k = len(self.controls)
-                self.controls.append(control)
-                self._ids[control] = k
-            out[n] = k
-        return out
-
-
-def _make_driver(policy):
+    A grid policy's candidates are its family, and a fixed control is the
+    one candidate.  A generic belief -> control rule (a callable, or an
+    object with a ``control`` method) gets ids in order of appearance, so
+    its list grows during a run: it is not thread-safe and runs in one chunk.
+    """
     if isinstance(policy, GridPolicy):
-        return _GridDriver(policy)
+        return list(policy.family), policy.candidate_indices
     if isinstance(policy, RelaxedControl):
-        return _FixedDriver(policy)
-    if hasattr(policy, "control"):
-        return _CallableDriver(policy.control)
-    if callable(policy):
-        return _CallableDriver(policy)
-    raise TypeError(f"cannot drive simulation with policy of type {type(policy)!r}")
+        return [policy], lambda beliefs: np.zeros(beliefs.shape[0], dtype=np.int64)
+    rule = policy.control if hasattr(policy, "control") else policy
+    if not callable(rule):
+        raise TypeError(f"cannot drive simulation with policy of type {type(policy)!r}")
+    controls: list[RelaxedControl] = []
+    ids: dict[RelaxedControl, int] = {}
+
+    def assign(beliefs: np.ndarray) -> np.ndarray:
+        ks = [ids.setdefault(rule(probs), len(ids)) for probs in beliefs]
+        controls.extend(list(ids)[len(controls):])
+        return np.array(ks, dtype=np.int64)
+
+    return controls, assign
+
+
+def _start_belief(model: PopdmpModel, x0, y0: int | None) -> Belief:
+    """The point mass at a forced hidden state ``y0``, else Q_0(.|x0)."""
+    if y0 is None:
+        return initial_belief(model, x0)
+    return Belief(np.eye(model.n_states)[int(y0)])
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +451,19 @@ def _check_hazard_bound(model: PopdmpModel, rate) -> None:
             f"hazard {np.max(rate)!r} at a thinning proposal exceeds its declared upper bound")
 
 
-def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _StreamBank,
-                    n: int, x0=None, y0: int | None = None,
-                    max_jumps: int | None = None, record: bool = False) -> _BatchResult:
-    """Run n trajectories from time 0 to ``tables.horizon`` (or to their
-    ``max_jumps``-th jump), drawing row r's uniforms from ``bank`` row r."""
+def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
+                    y0: int | None = None, max_jumps: int | None = None,
+                    record: bool = False) -> _BatchResult:
+    """Run one trajectory per row of ``bank`` under ``policy``, a
+    ``_policy_rule`` pair, from time 0 to ``tables.horizon`` (or to its
+    ``max_jumps``-th jump), drawing row r's uniforms from bank row r.
+
+    Every row starts from belief ``mu0``, in hidden state ``y0`` or, without
+    it, in one drawn from ``mu0`` with the row's first uniform.
+    """
+    controls, assign = policy
+    model = tables.model
+    n = bank.n
     d = model.n_states
     horizon = tables.horizon
     beta = model.discount
@@ -478,17 +471,12 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
     noise_cum = np.cumsum(model.noise.weights)
 
     if y0 is not None:
-        mu0 = np.zeros(d)
-        mu0[int(y0)] = 1.0
         y = np.full(n, int(y0), dtype=np.int64)
     else:
-        mu0 = np.asarray(model.initial_kernel(np.atleast_1d(np.asarray(x0, dtype=float))),
-                         dtype=float)
-        mu0 = mu0 / mu0.sum()
         u, = bank.take(np.arange(n))
-        y = _inverse_cdf(np.cumsum(mu0), u)
+        y = _inverse_cdf(np.cumsum(mu0.probs), u)
     initial_hidden = y.copy()
-    beliefs = np.tile(mu0, (n, 1))
+    beliefs = np.tile(mu0.probs, (n, 1))
     T = np.zeros(n)
     cost = np.zeros(n)
     active = np.ones(n, dtype=bool)
@@ -498,10 +486,10 @@ def _simulate_batch(model: PopdmpModel, driver, tables: SimTables, bank: _Stream
 
     while active.any():
         rows = np.flatnonzero(active)
-        ks = driver.assign(beliefs[rows])
+        ks = assign(beliefs[rows])
         for k, members in _index_groups(ks):
             sub = rows[members]
-            control = driver.controls[k]
+            control = controls[k]
             tb = tables.ensure(control)
             m = sub.size
             elapsed = np.zeros(m)
@@ -669,7 +657,8 @@ def sample_first_jumps(model: PopdmpModel, control: RelaxedControl, n: int, seed
     """
     if (y0 is None) == (x0 is None):
         raise ValueError("give exactly one of y0 (forced state) or x0 (observation)")
-    driver = _FixedDriver(control)
+    rule = _policy_rule(control)
+    mu0 = _start_belief(model, x0, y0)
     tables = SimTables(model, 4.0 / model.hazard_bounds[0])
     s = np.empty(n)
     y_next = np.empty(n, dtype=np.int64)
@@ -677,8 +666,8 @@ def sample_first_jumps(model: PopdmpModel, control: RelaxedControl, n: int, seed
     beliefs = np.empty((n, model.n_states))
     rows = np.arange(n)
     while True:
-        res = _simulate_batch(model, driver, tables, _StreamBank(seed, rows), rows.size, x0=x0,
-                              y0=None if y0 is None else int(y0), max_jumps=1, record=True)
+        res = _simulate_batch(rule, tables, _StreamBank(seed, rows), mu0, y0=y0, max_jumps=1,
+                              record=True)
         ev = res.events
         hit = ev["y"] >= 0
         at = rows[ev["traj"][hit]]
@@ -701,11 +690,10 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
     run truncates at the cost horizon (flagged).
     """
     seed, index = _stream_address(rng)
-    horizon = default_horizon(model) if cost_horizon is None else float(cost_horizon)
-    driver = _make_driver(policy)
-    tables = SimTables(model, horizon)
+    controls, _ = rule = _policy_rule(policy)
     bank = _StreamBank(seed, np.array([index]))
-    res = _simulate_batch(model, driver, tables, bank, 1, x0=x0, y0=y0, record=True)
+    res = _simulate_batch(rule, SimTables(model, cost_horizon), bank, _start_belief(model, x0, y0),
+                          y0=y0, record=True)
     # the events are the jumps, then the truncated segment if there is one
     ev = res.events
     jumps = slice(int(res.n_jumps[0]))
@@ -713,7 +701,7 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
         times=[0.0] + ev["t"][jumps].tolist(),
         states=[int(res.initial_hidden[0])] + ev["y"][jumps].tolist(),
         observations=[np.atleast_1d(np.asarray(x0, dtype=float))] + list(ev["x"][jumps]),
-        controls=[driver.controls[k] for k in ev["cand"].tolist()],
+        controls=[controls[k] for k in ev["cand"].tolist()],
         segment_costs=ev["seg"].tolist(),
         total_cost=float(res.costs[0]),
         truncated=bool(res.truncated[0]),
@@ -754,16 +742,14 @@ def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
         raise ValueError("need at least one trajectory")
     if workers is not None and not workers >= 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    horizon = default_horizon(model) if horizon is None else float(horizon)
-    driver = _make_driver(policy)
+    rule = _policy_rule(policy)
     tables = SimTables(model, horizon)
+    mu0 = initial_belief(model, x0)
 
     def run_chunk(lo: int, hi: int) -> np.ndarray:
-        bank = _StreamBank(seed, np.arange(lo, hi))
-        res = _simulate_batch(model, driver, tables, bank, hi - lo, x0=x0, record=False)
-        return res.costs
+        return _simulate_batch(rule, tables, _StreamBank(seed, np.arange(lo, hi)), mu0).costs
 
-    if isinstance(driver, _CallableDriver):
+    if not isinstance(policy, (GridPolicy, RelaxedControl)):
         if workers is not None and workers > 1:
             warnings.warn(f"workers={workers} ignored: a callable policy runs single-threaded",
                           RuntimeWarning, stacklevel=2)
@@ -824,9 +810,7 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
     vg = ValueGrid(policy.grid, v_policy)
     rows = []
     for k, x0 in enumerate(observations):
-        mu0 = np.asarray(model.initial_kernel(np.atleast_1d(np.asarray(x0, dtype=float))),
-                         dtype=float)
-        v_mdp = interpolate(vg, mu0 / mu0.sum())
+        v_mdp = interpolate(vg, initial_belief(model, x0))
         mc, se = evaluate_policy_mc(model, x0, policy, n_traj, seed + k,
                                     horizon=horizon, workers=workers)
         diff = mc - v_mdp

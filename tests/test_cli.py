@@ -202,7 +202,17 @@ def test_filter_command_replays_events(tmp_path):
     ("const:0,0.4,-2\nconst:0,0,-2\n", ["--x0", "-2"], "event 1"),
     # no state explains an observation halfway between the noise offsets
     ("const:0,0.4,-2\n", ["--x0", "0.5"], "--x0"),
-], ids=["zero-likelihood", "non-positive-s", "unreachable-x0"])
+    ("const:0,0.4,-2\n", ["--x0", "inf"], "--x0"),
+    # each row is checked as it is read
+    ("const:2,0.4,-2\n", ["--x0", "-2"], "event 0"),
+    ("const:0,0.4,-2\nconst:nan,0.4,-2\n", ["--x0", "-2"], "event 1"),
+    ("const:0,inf,-2\n", ["--x0", "-2"], "event 0"),
+    ("const:0,0.4,inf\n", ["--x0", "-2"], "event 0"),
+    ("const:0,0.4,-2\nconst:0,0.4,nan\n", ["--x0", "-2"], "event 1"),
+    ("const:0,0.4,-2\nconst:0,0.4\n", ["--x0", "-2"], "event 1"),
+], ids=["zero-likelihood", "non-positive-s", "unreachable-x0", "infinite-x0",
+        "control-outside-the-box", "nan-action", "infinite-s", "infinite-x", "nan-x",
+        "short-row"])
 def test_filter_command_rejects_impossible_events(tmp_path, log, args, key):
     cfg_path = write_cfg(tmp_path / "cfg.yaml", {"output": {"directory": str(tmp_path / "out")}})
     events = tmp_path / "events.csv"
@@ -212,6 +222,15 @@ def test_filter_command_rejects_impossible_events(tmp_path, log, args, key):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert key in result.output
+
+
+def test_filter_command_rejects_a_missing_event_log(tmp_path):
+    cfg_path = write_cfg(tmp_path / "cfg.yaml", {"output": {"directory": str(tmp_path / "out")}})
+    result = CliRunner().invoke(main, ["filter", "--config", cfg_path,
+                                       "--events", str(tmp_path / "missing.csv")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "missing.csv" in result.output
 
 
 def test_simulate_constant_policy(tmp_path):
@@ -351,6 +370,8 @@ def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
     ("simulate", {"sim": {"seed": True}}, [], "sim.seed"),
     ("simulate", {"sim": {"horizon": True}}, [], "sim.horizon"),
     ("crosscheck", {"crosscheck": {"observations": [True]}}, [], "crosscheck.observations"),
+    *[("simulate", {"sim": {"record_trajectories": bad}}, [], "sim.record_trajectories")
+      for bad in ("abc", 1.5, True, -1)],
 ])
 def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key):
     # each of these used to reach the library and end in a traceback

@@ -242,6 +242,33 @@ def test_filter_trajectory_reports_event_index(steering_uniform_q0):
         P.filter_trajectory(steering_uniform_q0, 0.0, [ok, bad])
 
 
+def test_initial_belief_is_the_filters_first_belief(steering, steering_uniform_q0):
+    assert np.array_equal(P.initial_belief(steering, -2.0).probs, [1.0, 0.0, 0.0])
+    assert np.array_equal(P.initial_belief(steering, 1.0).probs, [0.0, 0.5, 0.5])
+    events = [(P.RelaxedControl.constant(1.0), 0.5, 2.0)]
+    assert np.array_equal(P.filter_trajectory(steering, 1.0, events)[0].probs,
+                          P.initial_belief(steering, 1.0).probs)
+    # an observation no state can emit, even where Q_0 ignores the observation
+    with pytest.raises(P.ImpossibleObservationError):
+        P.initial_belief(steering, 0.5)
+    with pytest.raises(P.ImpossibleObservationError):
+        P.initial_belief(steering_uniform_q0, np.inf)
+
+
+def test_non_finite_observations_match_no_noise_offset(steering):
+    # an infinite observation-minus-state difference used to get an infinite
+    # match tolerance, and so matched the first offset of every state
+    assert steering.noise.density([[np.inf], [-np.inf], [np.nan]]).tolist() == [0.0] * 3
+    r = P.RelaxedControl.constant(0.0)
+    for x in (np.inf, -np.inf):
+        with pytest.raises(P.ImpossibleObservationError):
+            steering.initial_kernel(np.array([x]))
+        with pytest.raises(P.ImpossibleObservationError, match="event 0"):
+            P.filter_trajectory(steering, 0.0, [(r, 0.5, x)])
+        with pytest.raises(P.ImpossibleObservationError):
+            P.evaluate_policy_mc(steering, x, r, 200, seed=1)
+
+
 def steering_regularized_closed_form(x0, events, sigma):
     """Regularized filter of the steering model written out by hand: unit
     hazard and discount, so the jump density from y_i at time u is

@@ -143,6 +143,18 @@ def test_actions_outside_box_are_rejected(steering):
         P.big_lambda(steering, [0.0], bad, 1.0)
 
 
+def test_non_finite_actions_and_times_are_rejected(steering):
+    for a in (np.nan, np.inf):
+        with pytest.raises(P.InvalidControlError, match="not finite"):
+            steering.check_control(P.RelaxedControl.constant(a))
+    r = P.RelaxedControl.constant(0.5)
+    for ts in ([0.5, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            P.lambda_path(steering, [0.0], r, ts)
+    with pytest.raises(ValueError, match="finite"):
+        P.update(steering, [1 / 3] * 3, r, np.inf, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # hazard integrals
 

@@ -67,6 +67,7 @@ class _GeneratorBank:
 
     def __init__(self, seed, indices):
         self._gens = [P.RngStream(seed, int(i)).generator() for i in indices]
+        self.n = len(self._gens)
 
     def take(self, rows, k=1):
         return np.array([[self._gens[r].random() for r in rows] for _ in range(k)])
@@ -105,9 +106,9 @@ def test_first_jumps_past_the_first_horizon_match_one_long_run(steering):
     got = P.sample_first_jumps(steering, control, n, seed=seed, x0=0.0)
     lam_lo = steering.hazard_bounds[0]
     assert np.any(got[0] > 4.0 / lam_lo) and np.any(got[0] > 8.0 / lam_lo)
-    res = sim._simulate_batch(steering, sim._FixedDriver(control), sim.SimTables(steering, 64.0),
-                              sim._StreamBank(seed, np.arange(n)), n, x0=0.0, max_jumps=1,
-                              record=True)
+    res = sim._simulate_batch(sim._policy_rule(control), sim.SimTables(steering, 64.0),
+                              sim._StreamBank(seed, np.arange(n)), P.initial_belief(steering, 0.0),
+                              max_jumps=1, record=True)
     assert not res.truncated.any()
     order = np.argsort(res.events["traj"], kind="stable")
     want = [res.events[k][order] for k in ("t", "y", "x")] + [res.beliefs]
@@ -118,8 +119,9 @@ def test_first_jumps_past_the_first_horizon_match_one_long_run(steering):
 def test_zero_rows_give_empty_event_arrays(steering):
     # no rows record no events; the arrays keep their dtypes and trailing shapes
     control = P.RelaxedControl.constant(0.5)
-    res = sim._simulate_batch(steering, sim._FixedDriver(control), sim.SimTables(steering, 4.0),
-                              sim._StreamBank(1, np.arange(0)), 0, y0=1, record=True)
+    res = sim._simulate_batch(sim._policy_rule(control), sim.SimTables(steering, 4.0),
+                              sim._StreamBank(1, np.arange(0)), P.Belief([0.0, 1.0, 0.0]),
+                              y0=1, record=True)
     want = {"traj": np.int64, "t": np.float64, "y": np.int64, "x": np.float64,
             "cand": np.int64, "seg": np.float64}
     assert {k: v.dtype for k, v in res.events.items()} == want
@@ -502,6 +504,20 @@ def test_simulator_raises_on_an_impossible_observation():
     expected = [0.0, 0.0, 1 / 3]
     assert m.noise.density(delta).tolist() == [m.noise.density_at(v) for v in delta] == expected
     assert dataclasses.replace(m.noise, match_tol=1e-9).density(delta).tolist() == [1 / 3] * 3
+
+
+def test_simulator_rejects_an_initial_kernel_that_is_not_a_probability_vector():
+    # the kernel passes model validation on the observations states can
+    # emit, but sums to 2 far out; the simulator used to renormalize it
+    m = dataclasses.replace(P.particle_steering_model(q0="uniform"),
+                            initial_kernel=lambda x: np.full(3, 1 / 3) * (1 + (abs(x[0]) > 5)))
+    r = P.RelaxedControl.constant(0.0)
+    assert P.evaluate_policy_mc(m, 0.0, r, 50, seed=1) == P.evaluate_policy_mc(
+        P.particle_steering_model(q0="uniform"), 0.0, r, 50, seed=1)
+    with pytest.raises(ValueError, match="renormalization window"):
+        P.evaluate_policy_mc(m, 10.0, r, 50, seed=1)
+    with pytest.raises(ValueError, match="renormalization window"):
+        P.simulate_trajectory(m, 10.0, r, 1)
 
 
 def test_replayed_filter_reproduces_the_policy_choices(steering, family, solved15):
