@@ -3,8 +3,8 @@ filter / crosscheck / sweep pipelines.
 
 Configs are YAML.  The shared value flags (``--grid-k``, ``--tol``,
 ``--sigma``, ``--seed``, ``--workers``) form one more override document,
-merged after the file, so flag and file values pass the same checks.  Every
-run writes ``resolved_config.yaml`` into the output directory with all
+merged after the file, so flag and file values pass the same checks: one
+row of ``_RULES`` per key, for every command.  Every run writes ``resolved_config.yaml`` into the output directory with all
 defaults filled in, so runs are self-describing and the echo is
 byte-identical across reruns of the same input.  All numeric CSV fields are
 printed with nine significant digits.
@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 import yaml
 
 from .catalog import BUILTIN_MODELS, build_builtin, table_model
@@ -147,12 +146,11 @@ _DEFAULTS = {
 _INLINE_DEFAULTS = {"discount": 1.0, "q0": "bayes", "action_box": [-1.0, 1.0]}
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
-        here = f"{path}.{key}" if path else key
         if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val, here)
+            out[key] = _merge(out[key], val)
         else:
             out[key] = copy.deepcopy(val)
     return out
@@ -163,63 +161,23 @@ class RunConfig:
 
     def __init__(self, resolved: dict):
         self.resolved = resolved
-        if resolved["model"].get("inline"):
-            # echo the applied inline defaults (discount, q0 rule, action box)
-            resolved["model"]["inline"] = {**_INLINE_DEFAULTS, **resolved["model"]["inline"]}
         self._validate()
 
     def _validate(self) -> None:
         key = _non_finite_key(self.resolved)
         if key is not None:
             raise ConfigError(f"{key} is non-finite")
-        m = self.resolved["model"]
-        has_builtin = "builtin" in m and m["builtin"] is not None
-        has_inline = "inline" in m and m["inline"] is not None
-        if has_builtin == has_inline:
+        sources = [_lookup(self.resolved, f"model.{k}") for k in ("builtin", "inline")]
+        if sum(v is not None for v in sources) != 1:
             raise ConfigError("model must name exactly one source: 'builtin' or 'inline'")
-        if has_builtin and m["builtin"] not in BUILTIN_MODELS:
-            raise ConfigError(
-                f"unknown builtin model {m['builtin']!r}; available: {sorted(BUILTIN_MODELS)}"
-            )
-        if has_inline:
-            inline = m["inline"]
-            for key in ("states", "cost_table", "kernel_table", "hazard", "noise"):
-                if key not in inline:
-                    raise ConfigError(f"inline model is missing '{key}'")
-        sol = self.resolved["solver"]
-        if not _is_positive_int(sol["grid_k"]):
-            raise ConfigError("solver.grid_k must be a positive integer")
-        if not _number(sol["tol"]) > 0:
-            raise ConfigError("solver.tol must be a positive number")
-        if not _is_positive_int(sol["max_iter"]):
-            raise ConfigError("solver.max_iter must be a positive integer")
-        sig = sol["sigma"]
-        if sig != "plain" and not (_is_real(sig) and sig > 0):
-            raise ConfigError("solver.sigma must be 'plain' or a positive bandwidth")
-        sim = self.resolved["sim"]
-        if not _is_positive_int(sim["n_traj"]):
-            raise ConfigError("sim.n_traj must be a positive integer")
-        if sim["workers"] != "auto" and not _is_positive_int(sim["workers"]):
-            raise ConfigError("sim.workers must be 'auto' or a positive integer")
-        if math.isnan(_number(sim["x0"])):
-            raise ConfigError("sim.x0 must be a number")
-        if not (_is_int(sim["seed"]) and sim["seed"] >= 0):
-            raise ConfigError("sim.seed must be a non-negative integer")
-        if not (_is_int(sim["record_trajectories"]) and sim["record_trajectories"] >= 0):
-            raise ConfigError("sim.record_trajectories must be a non-negative integer")
-        if sim["horizon"] != "auto" and not _is_non_negative_number(sim["horizon"]):
-            raise ConfigError("sim.horizon must be 'auto' or a finite non-negative number")
-        sweep = self.resolved["sweep"]
-        if not _is_positive_int(sweep["grid_k"]):
-            raise ConfigError("sweep.grid_k must be a positive integer")
-        sigmas = sweep["sigmas"]
-        if not (isinstance(sigmas, list)
-                and all(_is_real(s) and s > 0 for s in sigmas)
-                and all(b < a for a, b in zip(sigmas, sigmas[1:]))):
-            raise ConfigError("sweep.sigmas must be strictly decreasing positive bandwidths")
-        obs = self.resolved["crosscheck"]["observations"]
-        if not (isinstance(obs, list) and not any(math.isnan(_number(v)) for v in obs)):
-            raise ConfigError("crosscheck.observations must be a list of numbers")
+        for key, (valid, what) in _RULES.items():
+            value = _lookup(self.resolved, key)
+            if not valid(value):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+        m = self.resolved["model"]
+        if m.get("inline") is not None:
+            # echo the applied inline defaults (discount, q0 rule, action box)
+            m["inline"] = {**_INLINE_DEFAULTS, **m["inline"]}
 
     def dump(self) -> str:
         """The resolved configuration as YAML with sorted keys."""
@@ -229,26 +187,15 @@ class RunConfig:
 
     def build_model(self) -> PopdmpModel:
         m = self.resolved["model"]
+        if m.get("inline") is None:
+            return build_builtin(m["builtin"])
         try:
-            if m.get("builtin"):
-                return build_builtin(m["builtin"])
-            inline = m["inline"]
-            noise = inline["noise"]
-            return table_model(
-                states=inline["states"],
-                cost_table=[tuple(row) for row in inline["cost_table"]],
-                kernel_table=[tuple(row) for row in inline["kernel_table"]],
-                hazard=inline["hazard"] if np.isscalar(inline["hazard"])
-                else [tuple(row) for row in inline["hazard"]],
-                noise_offsets=noise["offsets"],
-                noise_weights=noise["weights"],
-                discount=float(inline["discount"]),
-                q0=inline["q0"],
-                action_box=inline["action_box"],
-                name="inline",
-            )
-        except ValueError as err:
-            raise ConfigError(f"invalid model data: {err}") from None
+            tables = dict(m["inline"])
+            noise = tables.pop("noise", {})
+            return table_model(**tables, **{f"noise_{k}": v for k, v in noise.items()},
+                               name="inline")
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"model.inline: {err}") from None
 
     def build_family(self, model: PopdmpModel) -> ControlFamily:
         """The switching family, checked against the model's action box."""
@@ -275,25 +222,17 @@ class RunConfig:
 
     def stage(self, model: PopdmpModel) -> StageQuadrature:
         q = self.resolved["solver"]["quadrature"]
+        if q["t_max"] != "auto":
+            return StageQuadrature(t_max=float(q["t_max"]), h=float(q["h"]))
         try:
-            h = float(q["h"])
-            if q["t_max"] == "auto":
-                return StageQuadrature.for_model(model, h=h, tail_tol=float(q["tail_tol"]))
-            return StageQuadrature(t_max=float(q["t_max"]), h=h)
-        except (ValueError, ZeroDivisionError) as err:
+            return StageQuadrature.for_model(model, h=float(q["h"]), tail_tol=float(q["tail_tol"]))
+        except ValueError as err:  # a tail tolerance too loose for the model's rates
             raise ConfigError(f"solver.quadrature: {err}") from None
 
-    def kernel_kind(self) -> str:
-        kind = self.resolved["solver"]["kernel"]
-        if kind not in KERNEL_KINDS:
-            raise ConfigError(f"solver.kernel must be one of {list(KERNEL_KINDS)}, got {kind!r}")
-        return kind
-
     def kernel(self) -> RegularizationKernel | None:
-        sig = self.resolved["solver"]["sigma"]
-        if sig == "plain":
-            return None
-        return RegularizationKernel(self.kernel_kind(), float(sig))
+        sol = self.resolved["solver"]
+        return None if sol["sigma"] == "plain" else RegularizationKernel(sol["kernel"],
+                                                                         float(sol["sigma"]))
 
     def horizon(self) -> float | None:
         """Simulation horizon; None, the model's default horizon, for 'auto'."""
@@ -339,6 +278,13 @@ def _non_finite_key(node, key: str = "") -> str | None:
     return next(filter(None, (_non_finite_key(v, k) for k, v in items)), None)
 
 
+def _lookup(doc, key: str):
+    """The value at a dotted key, None where a section is missing."""
+    for part in key.split("."):
+        doc = doc.get(part) if isinstance(doc, dict) else None
+    return doc
+
+
 def _number(value) -> float:
     """``value`` as a float, or NaN when it is not a number (a YAML
     ``true`` or ``false`` is not one)."""
@@ -350,10 +296,6 @@ def _number(value) -> float:
         return math.nan
 
 
-def _is_non_negative_number(value) -> bool:
-    return 0.0 <= _number(value) < math.inf
-
-
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -362,8 +304,48 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_positive_int(value) -> bool:
-    return _is_int(value) and value >= 1
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_COUNT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_POSITIVE = (lambda v: 0.0 < _number(v) < math.inf, "a positive number")
+
+# dotted key -> (predicate, what a valid value is): every scalar key and list
+# of numbers, checked once the flags are merged, whatever the command; checks
+# that need the model (the action box, reachable observations, the quadrature
+# range under "auto") run where the model is built
+_RULES = {
+    "model.builtin": (lambda v: v is None or (isinstance(v, str) and v in BUILTIN_MODELS),
+                      f"one of {sorted(BUILTIN_MODELS)}"),
+    "model.inline": (lambda v: v is None or isinstance(v, dict), "a mapping"),
+    "solver.grid_k": _POSITIVE_INT,
+    "solver.tol": _POSITIVE,
+    "solver.max_iter": _POSITIVE_INT,
+    "solver.sigma": (lambda v: v == "plain" or (_is_real(v) and v > 0),
+                     "'plain' or a positive bandwidth"),
+    "solver.kernel": (lambda v: v in KERNEL_KINDS, " or ".join(KERNEL_KINDS)),
+    "solver.quadrature.t_max": (lambda v: v == "auto" or 0.0 < _number(v) < math.inf,
+                                "'auto' or a positive number"),
+    "solver.quadrature.h": _POSITIVE,
+    "solver.quadrature.tail_tol": _POSITIVE,
+    "sim.n_traj": _POSITIVE_INT,
+    "sim.seed": _COUNT,
+    "sim.x0": (lambda v: not math.isnan(_number(v)), "a number"),
+    "sim.horizon": (lambda v: v == "auto" or 0.0 <= _number(v) < math.inf,
+                    "'auto' or a finite non-negative number"),
+    "sim.policy.kind": (lambda v: v in ("solved", "constant", "switch"),
+                        "solved, constant or switch"),
+    "sim.policy.a": (lambda v: math.isfinite(_number(v)), "a finite number"),
+    "sim.policy.tau": _POSITIVE,
+    "sim.record_trajectories": _COUNT,
+    "sim.workers": (lambda v: v == "auto" or (_is_int(v) and v >= 1),
+                    "'auto' or a positive integer"),
+    "crosscheck.observations": (lambda v: isinstance(v, list)
+                                and not any(math.isnan(_number(x)) for x in v),
+                                "a list of numbers"),
+    "sweep.sigmas": (lambda v: isinstance(v, list) and all(_is_real(s) and s > 0 for s in v)
+                     and all(b < a for a, b in zip(v, v[1:])),
+                     "a strictly decreasing list of positive bandwidths"),
+    "sweep.grid_k": _POSITIVE_INT,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +381,17 @@ def main():
     Markov processes on a finite post-jump state set."""
 
 
-def _sigma_flag(ctx, param, text):
-    """``--sigma`` text as the value a config file would hold."""
-    if text is None or text == "plain":
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"solver.sigma must be 'plain' or a positive bandwidth, "
-                          f"got {text!r}") from None
+def _flag(convert):
+    """A value-flag callback: the text as ``convert`` reads it, else the text
+    itself ('plain', 'auto', or a value the rule table rejects)."""
 
+    def callback(ctx, param, text):
+        try:
+            return convert(text)
+        except (TypeError, ValueError):
+            return text
 
-def _workers_flag(ctx, param, text):
-    """``--workers`` text as the value a config file would hold."""
-    if text is None or text == "auto":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"sim.workers must be 'auto' or a positive integer, "
-                          f"got {text!r}") from None
+    return callback
 
 
 # flag name -> config section of the key it overrides
@@ -432,10 +405,10 @@ _shared = [
                  help="Output directory (default: from config)."),
     click.option("--grid-k", type=int, default=None, help="Override solver.grid_k."),
     click.option("--tol", type=float, default=None, help="Override solver.tol."),
-    click.option("--sigma", default=None, callback=_sigma_flag,
+    click.option("--sigma", default=None, callback=_flag(float),
                  help="Override solver.sigma ('plain' or bandwidth)."),
     click.option("--seed", type=int, default=None, help="Override sim.seed."),
-    click.option("--workers", default=None, callback=_workers_flag,
+    click.option("--workers", default=None, callback=_flag(int),
                  help="Override sim.workers ('auto', one per usable core and 12.5k "
                       "trajectories, or a count)."),
 ]
@@ -497,15 +470,13 @@ def simulate(cfg: RunConfig, out: Path):
     if pol_cfg["kind"] == "solved":
         family, _, vg, _ = _solve(cfg, model)
         policy = extract_policy(vg, family)
-    elif pol_cfg["kind"] in ("constant", "switch"):
-        try:
-            policy = (RelaxedControl.constant(float(pol_cfg["a"])) if pol_cfg["kind"] == "constant"
-                      else switch_control(float(pol_cfg["a"]), float(pol_cfg["tau"])))
-            model.check_control(policy)
-        except (ValueError, TypeError) as err:  # InvalidControlError is a ValueError
-            raise ConfigError(f"sim.policy: {err}") from None
     else:
-        raise ConfigError("sim.policy.kind must be solved, constant or switch")
+        policy = (RelaxedControl.constant(float(pol_cfg["a"])) if pol_cfg["kind"] == "constant"
+                  else switch_control(float(pol_cfg["a"]), float(pol_cfg["tau"])))
+        try:
+            model.check_control(policy)
+        except InvalidControlError as err:
+            raise ConfigError(f"sim.policy: {err}") from None
     x0 = float(sim_cfg["x0"])
     horizon = cfg.horizon()
     n_traj = int(sim_cfg["n_traj"])
@@ -604,7 +575,7 @@ def sweep(cfg: RunConfig, out: Path):
     sol = cfg.resolved["solver"]
     result = sigma_sweep(model, grid, family, [float(s) for s in cfg.resolved["sweep"]["sigmas"]],
                          tol=float(sol["tol"]), max_iter=int(sol["max_iter"]),
-                         stage=cfg.stage(model), kind=cfg.kernel_kind())
+                         stage=cfg.stage(model), kind=sol["kernel"])
     write_csv(out / "sigma_sweep.csv", ["sigma", "value_gap", "argmin_agreement"],
               ([_fmt(row.sigma), _fmt(row.value_gap), _fmt(row.argmin_agreement)]
                for row in result.rows))

@@ -27,7 +27,8 @@ __all__ = [
     "filter_trajectory",
 ]
 
-# Bayes normalizers below this floor count as zero likelihood
+# a Bayes normalizer that is not above this floor (NaN included) counts as
+# zero likelihood, in the filter, the simulator and the transition kernel
 _DENOM_FLOOR = 1e-300
 # the shapes of RegularizationKernel
 KERNEL_KINDS = ("gaussian", "epanechnikov")
@@ -75,11 +76,13 @@ def as_belief(value, d: int | None = None) -> Belief:
 def initial_belief(model: PopdmpModel, x0) -> Belief:
     """mu_0 = Q_0(.|x0), where the filter and the simulator start: a length-d
     Belief, so a kernel output outside its 1e-8 window raises ValueError; a
-    non-finite observation, or one no state explains, raises
-    ImpossibleObservationError."""
+    non-finite observation, or one that no post-jump state can emit, raises
+    ImpossibleObservationError, whatever the initial kernel."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if not np.all(np.isfinite(x)):
         raise ImpossibleObservationError(f"observation {x} is not finite")
+    if not np.any(model.noise.density(x - model.post_jump_states) > 0.0):
+        raise ImpossibleObservationError(f"observation {x} is unreachable: no state explains it")
     return as_belief(model.initial_kernel(x), model.n_states)
 
 
@@ -158,7 +161,7 @@ def q_tilde_sx(model: PopdmpModel, s: float, x, y, control: RelaxedControl) -> f
 def _posterior(numer: np.ndarray, s: float, x) -> Belief:
     """Normalize an unnormalized posterior; zero likelihood raises."""
     denom = numer.sum()
-    if denom < _DENOM_FLOOR:
+    if not denom > _DENOM_FLOOR:
         raise ImpossibleObservationError(
             f"observation {x!r} at s={s} has zero likelihood under the current belief"
         )

@@ -227,6 +227,16 @@ class StageContext:
         return _smooth_tensor(tb.dmat, tb.step, kernel)
 
 
+def _context(model: PopdmpModel, ctx: StageContext | None) -> StageContext:
+    """``ctx``, or a fresh one for ``model``; tables built for another model
+    would silently answer for it, so such a context raises ValueError."""
+    if ctx is None:
+        return StageContext(model)
+    if ctx.model is not model:
+        raise ValueError("stage context was built for another model")
+    return ctx
+
+
 # ---------------------------------------------------------------------------
 # operators
 
@@ -234,14 +244,14 @@ class StageContext:
 def stage_cost_g(model: PopdmpModel, y, control: RelaxedControl,
                  ctx: StageContext | None = None) -> float:
     """Expected discounted running cost until the next jump, started at y."""
-    ctx = ctx or StageContext(model)
+    ctx = _context(model, ctx)
     return float(ctx.tables(control).g[_state_number(model, y)])
 
 
 def stage_cost_belief(model: PopdmpModel, rho, control: RelaxedControl,
                       ctx: StageContext | None = None) -> float:
     """Belief-averaged one-stage cost sum_y g(y, r) rho(y)."""
-    ctx = ctx or StageContext(model)
+    ctx = _context(model, ctx)
     probs = as_belief(rho, model.n_states).probs
     return float(probs @ ctx.tables(control).g)
 
@@ -369,7 +379,7 @@ def expected_next_value(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedC
     """
     _require_kernel_policy(model, kernel)
     probs = as_belief(rho, model.n_states).probs
-    row = transition_matrix(ctx or StageContext(model), control, kernel, v.grid, probs[None])
+    row = transition_matrix(_context(model, ctx), control, kernel, v.grid, probs[None])
     return float((row @ v.values)[0])
 
 
@@ -377,7 +387,7 @@ def transition_mass(model: PopdmpModel, rho, control: RelaxedControl,
                     ctx: StageContext | None = None) -> float:
     """Total substochastic mass of the belief transition kernel; equals
     expected_next_value with v identically one."""
-    tb = (ctx or StageContext(model)).tables(control)
+    tb = _context(model, ctx).tables(control)
     probs = as_belief(rho, model.n_states).probs
     un_w = np.einsum("i,iuj->uj", probs, tb.dmat)
     return float(tb.weights @ un_w.sum(axis=0))
@@ -387,7 +397,7 @@ def L_operator(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedControl,
                kernel: RegularizationKernel | None = None,
                ctx: StageContext | None = None) -> float:
     """One-stage cost plus expected next value under one candidate control."""
-    ctx = ctx or StageContext(model)
+    ctx = _context(model, ctx)
     return stage_cost_belief(model, rho, control, ctx=ctx) + expected_next_value(
         model, v, rho, control, kernel=kernel, ctx=ctx
     )
@@ -398,7 +408,7 @@ def T_operator(model: PopdmpModel, v: ValueGrid, rho, family: ControlFamily,
                ctx: StageContext | None = None) -> tuple[float, int]:
     """Minimum of L over the candidate family and the lowest index among the
     candidates tied with it (``_tie_stable_min``)."""
-    ctx = ctx or StageContext(model)
+    ctx = _context(model, ctx)
     vals = [L_operator(model, v, rho, control, kernel=kernel, ctx=ctx) for control in family]
     best, k = _tie_stable_min(np.array(vals))
     return float(best), int(k)

@@ -266,7 +266,8 @@ class PopdmpModel:
     ``jump_kernel(points, a) -> (N, d)`` and ``cost_rate(points, a) -> (N,)``
     where ``points`` is an (N, D) array and ``a`` a single action vector.
     ``initial_kernel(x) -> (d,)`` maps one observation to post-jump-state
-    probabilities.
+    probabilities.  ``hazard_controlled=False`` declares that hazard and jump
+    kernel ignore the action; validation checks it at the sample actions.
     """
 
     post_jump_states: np.ndarray  # (d, D)
@@ -365,6 +366,7 @@ class PopdmpModel:
     def _validate_samples(self) -> None:
         pos = self._sample_positions()
         lo, hi = self.hazard_bounds
+        seen = None  # hazard and kernel rows at the first sample action
         for a in self._sample_actions():
             lam = np.asarray(self.hazard(pos, a), dtype=float)
             if np.any(lam < lo - _BOUND_TOL) or np.any(lam > hi + _BOUND_TOL):
@@ -377,6 +379,11 @@ class PopdmpModel:
                 raise ModelValidationError("jump kernel returned a wrongly shaped row block")
             if np.any(rows < -1e-12) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
                 raise ModelValidationError("jump kernel rows must be probabilities summing to 1")
+            seen = seen or (lam, rows)
+            if not self.hazard_controlled and not all(
+                    np.array_equal(u, v, equal_nan=True) for u, v in zip((lam, rows), seen)):
+                raise ModelValidationError("hazard or jump kernel depends on the action; "
+                                           "declare hazard_controlled=True")
         for y in self.post_jump_states:
             for eps in self.noise.offsets:
                 q0 = np.asarray(self.initial_kernel(y + eps), dtype=float)

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .filtering import Belief, ImpossibleObservationError, initial_belief
+from .filtering import _DENOM_FLOOR, Belief, ImpossibleObservationError, initial_belief
 from .grid import ValueGrid, interpolate
 from .model import (_BOUND_TOL, ClosedFormFlow, ControlPath, ModelValidationError, PopdmpModel,
                     RelaxedControl, _index_groups, flow_path)
@@ -567,8 +567,9 @@ def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
             # the products and order of einsum("gi,gi,giu->gu", ...), about 5x faster
             numer = np.einsum("gi,giu->gu", weights, hk) * tables.likelihood[y_next, eps_idx]
             den = numer.sum(axis=1)
-            if np.any(den <= 0):
-                b = int(np.argmax(den <= 0))
+            zero = ~(den > _DENOM_FLOOR)
+            if zero.any():
+                b = int(np.argmax(zero))
                 raise ImpossibleObservationError(f"trajectory {jumped[b]}: observation {x[b].tolist()} "
                                                  f"at s={s[b]} has zero likelihood")
             beliefs[jumped] = numer / den[:, None]
@@ -792,10 +793,11 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
     policy value (the T_f fixed point) at each initial observation.
 
     The MDP side uses ``sweep`` (default: the plain filter's), which must
-    be built for the policy's grid and family and brings its regularization
-    kernel and stage quadrature.  The simulator always filters with the
-    exact Bayes update, so with a regularized sweep the z-scores also carry
-    the gap between the two filters, which shrinks with the bandwidth.
+    be built for ``model`` and the policy's grid and family, and brings its
+    regularization kernel and stage quadrature.  The simulator always
+    filters with the exact Bayes update, so with a regularized sweep the
+    z-scores also carry the gap between the two filters, which shrinks with
+    the bandwidth.
 
     The z denominator combines the Monte Carlo standard error with a fixed
     numerical-accuracy allowance of ``1e-3 * (1 + |value|)`` covering
@@ -805,7 +807,7 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
     """
     if sweep is None:
         sweep = BellmanSweep(model, policy.grid, policy.family)
-    sweep.require_built_for(policy.grid, policy.family)
+    sweep.require_built_for(model, policy.grid, policy.family)
     v_policy = sweep.policy_fixed_point(policy.argmins)
     vg = ValueGrid(policy.grid, v_policy)
     rows = []

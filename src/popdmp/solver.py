@@ -24,6 +24,7 @@ from .mdp import (
     ControlFamily,
     StageContext,
     StageQuadrature,
+    _context,
     _require_kernel_policy,
     _tie_stable_min,
     transition_matrix,
@@ -54,7 +55,8 @@ FIXED_POINT_MAX_ITER = 10_000
 class BellmanSweep:
     """Grid-restricted Bellman operator, one (cost vector, sparse matrix)
     pair per candidate control, for the regularization kernel (None: plain
-    filter) and the stage quadrature of ``ctx`` (default ``StageContext(model)``)."""
+    filter) and the stage quadrature of ``ctx`` (default ``StageContext(model)``;
+    one built for another model raises ValueError)."""
 
     def __init__(self, model: PopdmpModel, grid: SimplexGrid, family: ControlFamily,
                  kernel: RegularizationKernel | None = None,
@@ -64,7 +66,7 @@ class BellmanSweep:
         self.grid = grid
         self.family = family
         self.kernel = kernel
-        self.ctx = ctx if ctx is not None else StageContext(model)
+        self.ctx = _context(model, ctx)
         if grid.dim != model.n_states:
             raise ValueError("grid dimension must match the number of post-jump states")
         self.gmat = np.stack([grid.points @ self.ctx.tables(c).g for c in family])
@@ -97,12 +99,13 @@ class BellmanSweep:
                 break
         return v
 
-    def require_built_for(self, grid: SimplexGrid, family: ControlFamily) -> None:
-        """Raise ValueError unless built on a grid of ``grid``'s dimension
-        and subdivisions and for ``family``."""
+    def require_built_for(self, model: PopdmpModel, grid: SimplexGrid,
+                          family: ControlFamily) -> None:
+        """Raise ValueError unless built for ``model`` (the same object), on a
+        grid of ``grid``'s dimension and subdivisions, and for ``family``."""
         built = (self.grid.dim, self.grid.subdivisions, self.family)
-        if built != (grid.dim, grid.subdivisions, family):
-            raise ValueError("sweep was built for another grid or control family")
+        if self.model is not model or built != (grid.dim, grid.subdivisions, family):
+            raise ValueError("sweep was built for another model, grid or control family")
 
 
 @dataclass
@@ -122,13 +125,14 @@ def value_iteration(model: PopdmpModel, grid: SimplexGrid, family: ControlFamily
     tol; on max_iter the partial result is returned with converged=False.
     The returned argmins are greedy for the returned values: they come from
     the closing sweep T V that also gives the final residual.  ``sweep``
-    (default: the plain filter's) must be built for ``grid`` and ``family``."""
+    (default: the plain filter's) must be built for ``model``, ``grid`` and
+    ``family``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     if sweep is None:
         sweep = BellmanSweep(model, grid, family)
-    sweep.require_built_for(grid, family)
+    sweep.require_built_for(model, grid, family)
     values = np.zeros(grid.n_points)
     residuals: list[float] = []
     converged = False

@@ -224,6 +224,20 @@ def test_filter_command_rejects_impossible_events(tmp_path, log, args, key):
     assert key in result.output
 
 
+def test_filter_command_rejects_an_unreachable_x0_whatever_the_initial_kernel(tmp_path):
+    cfg_path = write_cfg(tmp_path / "cfg.yaml", {
+        "model": {"inline": dict(INLINE_STEERING, q0="uniform")},
+        "output": {"directory": str(tmp_path / "out")},
+    })
+    events = tmp_path / "events.csv"
+    events.write_text("r_piece_spec,s,x\nconst:0,0.4,-2\n")
+    result = CliRunner().invoke(main, ["filter", "--config", cfg_path, "--events", str(events),
+                                       "--x0", "0.5"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "--x0" in result.output
+
+
 def test_filter_command_rejects_a_missing_event_log(tmp_path):
     cfg_path = write_cfg(tmp_path / "cfg.yaml", {"output": {"directory": str(tmp_path / "out")}})
     result = CliRunner().invoke(main, ["filter", "--config", cfg_path,
@@ -372,6 +386,18 @@ def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
     ("crosscheck", {"crosscheck": {"observations": [True]}}, [], "crosscheck.observations"),
     *[("simulate", {"sim": {"record_trajectories": bad}}, [], "sim.record_trajectories")
       for bad in ("abc", 1.5, True, -1)],
+    # every rule applies to every command, whether or not it reads the key
+    ("solve", {"solver": dict(FAST_SOLVER, kernel="box")}, [], "solver.kernel"),
+    ("solve", {"sim": {"policy": {"kind": "greedy"}}}, [], "sim.policy.kind"),
+    ("simulate", {"sim": {"policy": {"kind": "switch", "a": 1.0, "tau": 0.0}}}, [],
+     "sim.policy.tau"),
+    ("solve", {"solver": dict(FAST_SOLVER, quadrature={"t_max": "abc"})}, [],
+     "solver.quadrature.t_max"),
+    ("solve", {"model": {"builtin": "nope"}}, [], "model.builtin"),
+    # an inline mapping goes to table_model as it stands
+    ("solve", {"model": {"inline": dict(INLINE_STEERING, hazzard=1.0)}}, [], "hazzard"),
+    ("solve", {"model": {"inline": {k: v for k, v in INLINE_STEERING.items() if k != "noise"}}},
+     [], "noise_offsets"),
 ])
 def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key):
     # each of these used to reach the library and end in a traceback

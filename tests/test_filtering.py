@@ -255,6 +255,17 @@ def test_initial_belief_is_the_filters_first_belief(steering, steering_uniform_q
         P.initial_belief(steering_uniform_q0, np.inf)
 
 
+def test_an_unreachable_initial_observation_raises_whatever_the_initial_kernel(
+        steering_uniform_q0):
+    # x0 = 0.5 is no state plus a noise offset; the uniform and explicit
+    # initial kernels ignore x0, so the check cannot be left to them
+    with pytest.raises(P.ImpossibleObservationError, match="unreachable"):
+        P.initial_belief(steering_uniform_q0, 0.5)
+    explicit = P.particle_steering_model(q0=[0.2, 0.3, 0.5])
+    with pytest.raises(P.ImpossibleObservationError, match="unreachable"):
+        P.evaluate_policy_mc(explicit, 0.5, P.RelaxedControl.constant(0.0), 10, seed=1)
+
+
 def test_non_finite_observations_match_no_noise_offset(steering):
     # an infinite observation-minus-state difference used to get an infinite
     # match tolerance, and so matched the first offset of every state

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -245,6 +246,20 @@ def controlled_hazard_model():
         action_box=np.array([[-1.0, 1.0]]),
         hazard_controlled=True,
     )
+
+
+def test_an_undeclared_action_dependent_hazard_or_kernel_is_rejected():
+    # the plain filter is exact only when neither depends on the action, so
+    # hazard_controlled=False is checked at the sample actions, not trusted
+    declared = controlled_hazard_model()
+    with pytest.raises(P.ModelValidationError, match="hazard_controlled"):
+        dataclasses.replace(declared, hazard_controlled=False)
+    with pytest.raises(P.ModelValidationError, match="hazard_controlled"):
+        dataclasses.replace(
+            declared, hazard=lambda pts, a: np.ones(pts.shape[0]), hazard_bounds=(1.0, 1.0),
+            jump_kernel=lambda pts, a: np.tile([0.5 + 0.25 * a[0], 0.5 - 0.25 * a[0]],
+                                               (pts.shape[0], 1)),
+            hazard_controlled=False)
 
 
 def naive_expected_next_value(vg, rho, control, kernel, ctx):

@@ -146,6 +146,39 @@ def test_sample_jump_reproducible(steering):
     assert d == a
 
 
+def test_engine_first_jump_has_the_law_of_sample_jump(steering):
+    # the batch engine and the one-jump sampler are separate implementations
+    # of the same thinning draw; compare their laws from a forced y0 = -2
+    # under switch(+1, 0.5), whose kernel ramp splits the next state
+    control = P.switch_control(1.0, 0.5)
+    s_fast, y_fast, x_fast, _ = P.sample_first_jumps(steering, control, 20_000, seed=61, y0=0)
+    draws = [P.sample_jump(steering, 0, control, (62, i)) for i in range(4_000)]
+    assert stats.ks_2samp(s_fast, [s for s, _, _ in draws]).pvalue > 1e-3
+    # (next state, observation) cells, both sides forming x as state + offset
+    pairs = [list(zip(y_fast.tolist(), x_fast[:, 0].tolist())),
+             [(y, float(x[0])) for _, y, x in draws]]
+    cells = sorted(set(pairs[0]) | set(pairs[1]))
+    assert len(cells) == 6
+    table = [[side.count(c) for c in cells] for side in pairs]
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
+def test_a_nan_normalizer_counts_as_zero_likelihood(steering):
+    # kernel rows that turn NaN far out, beyond the model's validation sample
+    # points; a NaN normalizer must raise like a zero one, in the filter and
+    # in the engine, instead of leaving NaN beliefs behind
+    def kernel(pts, a):
+        rows = steering.jump_kernel(pts, a)
+        rows[np.abs(pts[:, 0]) > 4.5] = np.nan
+        return rows
+
+    m = dataclasses.replace(steering, jump_kernel=kernel)
+    with pytest.raises(P.ImpossibleObservationError):
+        P.update(m, [0.0, 0.0, 1.0], P.RelaxedControl.constant(1.0), 3.0, 2.0)
+    with pytest.raises(P.ImpossibleObservationError):
+        P.evaluate_policy_mc(m, 2.0, P.RelaxedControl.constant(1.0), 500, seed=3)
+
+
 def test_interjump_times_are_unit_exponential(steering):
     ss, _, _, _ = P.sample_first_jumps(steering, P.RelaxedControl.constant(0.5),
                                        40_000, seed=21, y0=1)
@@ -508,16 +541,18 @@ def test_simulator_raises_on_an_impossible_observation():
 
 def test_simulator_rejects_an_initial_kernel_that_is_not_a_probability_vector():
     # the kernel passes model validation on the observations states can
-    # emit, but sums to 2 far out; the simulator used to renormalize it
+    # emit, but sums to 2 just past the largest (3 + 1e-9 still matches state
+    # 2 plus offset 1 within the noise tolerance); the simulator used to
+    # renormalize it
     m = dataclasses.replace(P.particle_steering_model(q0="uniform"),
-                            initial_kernel=lambda x: np.full(3, 1 / 3) * (1 + (abs(x[0]) > 5)))
+                            initial_kernel=lambda x: np.full(3, 1 / 3) * (1 + (abs(x[0]) > 3)))
     r = P.RelaxedControl.constant(0.0)
     assert P.evaluate_policy_mc(m, 0.0, r, 50, seed=1) == P.evaluate_policy_mc(
         P.particle_steering_model(q0="uniform"), 0.0, r, 50, seed=1)
     with pytest.raises(ValueError, match="renormalization window"):
-        P.evaluate_policy_mc(m, 10.0, r, 50, seed=1)
+        P.evaluate_policy_mc(m, 3.0 + 1e-9, r, 50, seed=1)
     with pytest.raises(ValueError, match="renormalization window"):
-        P.simulate_trajectory(m, 10.0, r, 1)
+        P.simulate_trajectory(m, 3.0 + 1e-9, r, 1)
 
 
 def test_replayed_filter_reproduces_the_policy_choices(steering, family, solved15):

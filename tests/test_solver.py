@@ -207,13 +207,21 @@ def test_a_sweep_for_another_grid_or_family_is_rejected(steering):
     grid = P.build_simplex_grid(3, 6)
     vg, _ = P.value_iteration(steering, grid, family, tol=1e-4)
     policy = P.extract_policy(vg, family)
+    other = P.particle_steering_model()  # equal data, but another model
     mismatched = [P.BellmanSweep(steering, grid, P.ControlFamily(family.candidates[::-1])),
-                  P.BellmanSweep(steering, P.build_simplex_grid(3, 5), family)]
+                  P.BellmanSweep(steering, P.build_simplex_grid(3, 5), family),
+                  P.BellmanSweep(other, grid, family)]
     for sweep in mismatched:
         with pytest.raises(ValueError, match="built"):
             P.value_iteration(steering, grid, family, tol=1e-4, sweep=sweep)
         with pytest.raises(ValueError, match="built"):
             P.cross_check(steering, policy, [-2.0, 0.0], n_traj=20, seed=1, sweep=sweep)
+    # so are stage tables built for another model, by a sweep and by the
+    # point operators
+    with pytest.raises(ValueError, match="another model"):
+        P.BellmanSweep(steering, grid, family, ctx=P.StageContext(other))
+    with pytest.raises(ValueError, match="another model"):
+        P.stage_cost_g(steering, 0, family[0], ctx=P.StageContext(other))
     # an equal grid and family built separately are accepted
     same = P.BellmanSweep(steering, P.build_simplex_grid(3, 6), five_candidates())
     again, _ = P.value_iteration(steering, grid, family, tol=1e-4, sweep=same)
