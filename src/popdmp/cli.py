@@ -257,6 +257,9 @@ def load_config(path, flags: dict | None = None) -> RunConfig:
         raise ConfigError(f"cannot parse {path}: {err}") from None
     if not isinstance(user, dict):
         raise ConfigError("config root must be a mapping")
+    for section, value in user.items():
+        if section in _DEFAULTS and not isinstance(value, dict):
+            raise ConfigError(f"{section} must be a mapping, got {value!r}")
     resolved = _merge(_merge(_DEFAULTS, user), flags or {})
     user_model = user.get("model") or {}
     if user_model.get("inline") is not None and "builtin" not in user_model:

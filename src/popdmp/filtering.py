@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ControlPath, PopdmpModel, RelaxedControl, _lambda_paths, _state_number,
-                    simpson_weights)
+from .model import (H_QUAD, ControlPath, PopdmpModel, RelaxedControl, _check_times,
+                    _lambda_lists, _state_number, simpson_weights)
 
 __all__ = [
     "Belief",
@@ -32,6 +32,8 @@ __all__ = [
 _DENOM_FLOOR = 1e-300
 # the shapes of RegularizationKernel
 KERNEL_KINDS = ("gaussian", "epanechnikov")
+# hazard-quadrature nodes per block of filter_trajectory's batched q-tilde
+_NODE_BUDGET = 1 << 15
 
 
 class ImpossibleObservationError(ValueError):
@@ -118,20 +120,77 @@ class RegularizationKernel:
 # joint density
 
 
-def _qtilde_matrices(model: PopdmpModel, control: RelaxedControl, times: np.ndarray,
-                     x=None) -> np.ndarray:
-    """q-tilde evaluated on a time grid: out[k, i, j] = q(t_k, y_j, x | y_i, r).
+@dataclass(eq=False)
+class _Event:
+    """One Bayes update: the times at which it evaluates q-tilde, the
+    Simpson-times-kernel weights of a regularized update (None for the exact
+    one), the noise weights f(x - y_j) of its observation, and, once a batch
+    fills it in, q-tilde at those times, (len(times), d, d)."""
 
-    With ``x=None`` the observation-density factor is omitted.
+    n: int
+    control: RelaxedControl
+    s: float
+    x: object
+    times: np.ndarray
+    coeff: np.ndarray | None
+    noise: np.ndarray
+    mats: np.ndarray | None = None
+
+    @property
+    def nodes(self) -> float:
+        """Bound on the hazard-quadrature nodes of the update's intervals."""
+        return self.times[-1] / H_QUAD + 3 * (self.times.size + len(self.control.breaks) + 1)
+
+
+def _event(model: PopdmpModel, n: int, control: RelaxedControl, s: float, x,
+           kernel: RegularizationKernel | None) -> _Event:
+    """The update's inputs, checked in the order a lone update meets them."""
+    if kernel is None:
+        times, coeff = np.array([float(s)]), None
+    else:
+        w = kernel.halfwidth
+        lo, hi = max(0.0, s - w), s + w
+        step = min(kernel.sigma / 8.0, 0.02)
+        npan = max(8, 2 * math.ceil((hi - lo) / (2.0 * step)))
+        times = np.linspace(lo, hi, npan + 1)
+        coeff = simpson_weights(npan, (hi - lo) / npan) * kernel.density(s - times)
+    _check_times(times)
+    model.check_control(control)
+    noise = model.noise.density(np.asarray(x, dtype=float) - model.post_jump_states)
+    return _Event(n, control, s, x, times, coeff, noise)
+
+
+def _fill_qtilde(model: PopdmpModel, events: list[_Event]) -> None:
+    """Set every event's q-tilde, ``mats[k, i, j] = q(t_k, y_j, x | y_i, r)``
+    at its times t_k, in one batched pass per control.
+
+    Hazard integrals come from one ``_lambda_lists`` call and the
+    hazard-weighted kernel rows from one evaluation on the sorted union of
+    the times, so for a closed-form flow every value equals a lone event's
+    bit for bit.
     """
-    ts = np.asarray(times, dtype=float)
-    egamma = np.exp(-model.discount * ts - _lambda_paths(model, model.post_jump_states, control, ts))
-    hk = ControlPath.from_post_jump_states(model, control, ts).kernel_rows
-    out = np.ascontiguousarray((egamma[:, :, None] * hk).transpose(1, 0, 2))
-    if x is not None:
-        noisew = model.noise.density(np.asarray(x, dtype=float) - model.post_jump_states)
-        out = out * noisew[None, None, :]
-    return out
+    groups: dict[RelaxedControl, list[_Event]] = {}
+    for ev in events:
+        groups.setdefault(ev.control, []).append(ev)
+    for control, evs in groups.items():
+        sizes = [ev.times.size for ev in evs]
+        ts = np.concatenate([ev.times for ev in evs])
+        lam = _lambda_lists(model, model.post_jump_states, control, [ev.times for ev in evs])
+        grid, at = np.unique(ts, return_inverse=True)
+        hk = ControlPath.from_post_jump_states(model, control, grid).kernel_rows[:, at]
+        egamma = np.exp(-model.discount * ts - lam)
+        out = np.ascontiguousarray((egamma[:, :, None] * hk).transpose(1, 0, 2))
+        out = out * np.repeat([ev.noise for ev in evs], sizes, axis=0)[:, None, :]
+        for ev, mats in zip(evs, np.split(out, np.cumsum(sizes)[:-1])):
+            ev.mats = mats
+
+
+def _filled(model: PopdmpModel, control: RelaxedControl, s: float, x,
+            kernel: RegularizationKernel | None) -> _Event:
+    """One event, q-tilde filled in: a batch of one."""
+    ev = _event(model, 0, control, s, x, kernel)
+    _fill_qtilde(model, [ev])
+    return ev
 
 
 def q_tilde(model: PopdmpModel, s: float, y_next, x, y, control: RelaxedControl) -> float:
@@ -141,8 +200,7 @@ def q_tilde(model: PopdmpModel, s: float, y_next, x, y, control: RelaxedControl)
         raise ValueError("q_tilde requires s >= 0")
     i = _state_number(model, y)
     j = _state_number(model, y_next)
-    m = _qtilde_matrices(model, control, np.array([float(s)]), x=x)[0]
-    return float(m[i, j])
+    return float(_filled(model, control, s, x, None).mats[0, i, j])
 
 
 def q_tilde_sx(model: PopdmpModel, s: float, x, y, control: RelaxedControl) -> float:
@@ -150,8 +208,7 @@ def q_tilde_sx(model: PopdmpModel, s: float, x, y, control: RelaxedControl) -> f
     if s < 0:
         raise ValueError("q_tilde_sx requires s >= 0")
     i = _state_number(model, y)
-    m = _qtilde_matrices(model, control, np.array([float(s)]), x=x)[0]
-    return float(m[i, :].sum())
+    return float(_filled(model, control, s, x, None).mats[0, i, :].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +225,19 @@ def _posterior(numer: np.ndarray, s: float, x) -> Belief:
     return Belief(numer / denom)
 
 
+def _bayes(probs: np.ndarray, ev: _Event) -> Belief:
+    """The posterior after a filled-in event."""
+    if ev.coeff is None:
+        return _posterior(probs @ ev.mats[0], ev.s, ev.x)
+    return _posterior(np.einsum("k,i,kij->j", ev.coeff, probs, ev.mats), ev.s, ev.x)
+
+
 def update(model: PopdmpModel, rho, control: RelaxedControl, s: float, x) -> Belief:
     """One-step Bayes update of the belief given (control, jump time,
     observation)."""
     if s < 0:
         raise ValueError("update requires s >= 0")
-    probs = as_belief(rho, model.n_states).probs
-    m = _qtilde_matrices(model, control, np.array([float(s)]), x=x)[0]
-    return _posterior(probs @ m, s, x)
+    return _bayes(as_belief(rho, model.n_states).probs, _filled(model, control, s, x, None))
 
 
 def update_regularized(model: PopdmpModel, rho, control: RelaxedControl, s: float, x,
@@ -188,15 +250,37 @@ def update_regularized(model: PopdmpModel, rho, control: RelaxedControl, s: floa
     """
     if s < 0:
         raise ValueError("update_regularized requires s >= 0")
-    probs = as_belief(rho, model.n_states).probs
-    w = kernel.halfwidth
-    lo, hi = max(0.0, s - w), s + w
-    step = min(kernel.sigma / 8.0, 0.02)
-    npan = max(8, 2 * math.ceil((hi - lo) / (2.0 * step)))
-    nodes = np.linspace(lo, hi, npan + 1)
-    coeff = simpson_weights(npan, (hi - lo) / npan) * kernel.density(s - nodes)
-    mats = _qtilde_matrices(model, control, nodes, x=x)
-    return _posterior(np.einsum("k,i,kij->j", coeff, probs, mats), s, x)
+    return _bayes(as_belief(rho, model.n_states).probs, _filled(model, control, s, x, kernel))
+
+
+def _filled_events(model: PopdmpModel, events, kernel: RegularizationKernel | None):
+    """The log's events in order, with q-tilde filled in a block at a time.
+
+    A block takes events until their quadrature nodes reach _NODE_BUDGET
+    (at least one), so memory does not grow with the log, and gets one
+    batched pass per control.  An event that fails its checks ends its
+    block and raises once the events before it are yielded, so errors
+    come in log order.
+    """
+    it = enumerate(events)
+    more = True
+    while more:
+        block, nodes, failure, more = [], 0.0, None, False
+        try:
+            for n, (control, s, x) in it:
+                if s <= 0:
+                    raise ValueError(f"event {n}: inter-jump time must be positive")
+                block.append(_event(model, n, control, float(s), x, kernel))
+                nodes += block[-1].nodes
+                if nodes >= _NODE_BUDGET:
+                    more = True
+                    break
+        except Exception as err:  # not handled: raised after the events before it
+            failure = err
+        _fill_qtilde(model, block)
+        yield from block
+        if failure is not None:
+            raise failure
 
 
 def filter_trajectory(model: PopdmpModel, x0, events,
@@ -204,20 +288,18 @@ def filter_trajectory(model: PopdmpModel, x0, events,
     """Belief recursion mu_0, mu_1, ... along an observed event log.
 
     ``events`` is a sequence of (control, inter-jump time, observation)
-    triples; ``mu_0 = Q_0(.|x0)``.  A zero-likelihood observation raises
-    ImpossibleObservationError tagged with the event index.
+    triples; ``mu_0 = Q_0(.|x0)``.  Every belief equals the one ``update``
+    (or ``update_regularized``) gives from the previous one, but q-tilde is
+    computed for a block of events at a time, one pass per control.  A
+    zero-likelihood observation raises ImpossibleObservationError tagged
+    with the event index.
     """
     mu = initial_belief(model, x0)
     out = [mu]
-    for n, (control, s, x) in enumerate(events):
-        if s <= 0:
-            raise ValueError(f"event {n}: inter-jump time must be positive")
+    for ev in _filled_events(model, events, kernel):
         try:
-            if kernel is None:
-                mu = update(model, mu, control, float(s), x)
-            else:
-                mu = update_regularized(model, mu, control, float(s), x, kernel)
+            mu = _bayes(mu.probs, ev)
         except ImpossibleObservationError as err:
-            raise ImpossibleObservationError(f"event {n}: {err}") from None
+            raise ImpossibleObservationError(f"event {ev.n}: {err}") from None
         out.append(mu)
     return out

@@ -84,6 +84,10 @@ class ActionMixture:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        # tuples, so that a mixture and its control hash: the filter, the
+        # stage tables and the simulator key their work by control
+        object.__setattr__(self, "actions", tuple(self.actions))
+        object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.actions) == 0 or len(self.actions) != len(self.weights):
             raise ValueError("mixture needs matching, non-empty atoms and weights")
         w = np.asarray(self.weights, dtype=float)
@@ -123,6 +127,8 @@ class RelaxedControl:
     breaks: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple(self.pieces))
+        object.__setattr__(self, "breaks", tuple(self.breaks))
         if len(self.pieces) != len(self.breaks) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
         b = np.asarray(self.breaks, dtype=float)
@@ -367,17 +373,18 @@ class PopdmpModel:
         pos = self._sample_positions()
         lo, hi = self.hazard_bounds
         seen = None  # hazard and kernel rows at the first sample action
+        # each check holds for every entry, so a NaN fails it
         for a in self._sample_actions():
             lam = np.asarray(self.hazard(pos, a), dtype=float)
-            if np.any(lam < lo - _BOUND_TOL) or np.any(lam > hi + _BOUND_TOL):
+            if not np.all((lam >= lo - _BOUND_TOL) & (lam <= hi + _BOUND_TOL)):
                 raise ModelValidationError("hazard leaves its declared bounds on the test grid")
             c = np.asarray(self.cost_rate(pos, a), dtype=float)
-            if np.any(c < -1e-12) or np.any(c > self.cost_max + _BOUND_TOL):
+            if not np.all((c >= -1e-12) & (c <= self.cost_max + _BOUND_TOL)):
                 raise ModelValidationError("cost rate leaves [0, cost_max] on the test grid")
             rows = np.asarray(self.jump_kernel(pos, a), dtype=float)
             if rows.shape != (pos.shape[0], self.n_states):
                 raise ModelValidationError("jump kernel returned a wrongly shaped row block")
-            if np.any(rows < -1e-12) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
+            if not (np.all(rows >= -1e-12) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)):
                 raise ModelValidationError("jump kernel rows must be probabilities summing to 1")
             seen = seen or (lam, rows)
             if not self.hazard_controlled and not all(
@@ -387,9 +394,9 @@ class PopdmpModel:
         for y in self.post_jump_states:
             for eps in self.noise.offsets:
                 q0 = np.asarray(self.initial_kernel(y + eps), dtype=float)
-                if q0.shape != (self.n_states,) or np.any(q0 < -1e-12):
+                if q0.shape != (self.n_states,) or not np.all(q0 >= -1e-12):
                     raise ModelValidationError("initial kernel must return a probability vector")
-                if abs(q0.sum() - 1.0) > 1e-12:
+                if not abs(q0.sum() - 1.0) <= 1e-12:
                     raise ModelValidationError("initial kernel rows must sum to 1")
 
 
@@ -470,28 +477,29 @@ def simpson_weights(n_panels: int, h: float) -> np.ndarray:
     return w
 
 
-def _simpson_nodes(control: RelaxedControl, cuts, h: float):
-    """Composite-Simpson nodes (step <= h) on each interval between sorted cuts.
+def _simpson_nodes(control: RelaxedControl, a, b, h: float):
+    """Composite-Simpson nodes (step <= h) on each interval [a_i, b_i].
 
     Returns nodes, weights, the active piece and the interval index of each
-    node.  A cut shared by two intervals appears once per interval, each copy
-    tagged with its own interval's piece, so one-sided limits integrate
-    correctly.
+    node.  An endpoint shared by two intervals appears once per interval,
+    each copy tagged with its own interval's piece, so one-sided limits
+    integrate correctly.
     """
-    cuts = np.asarray(cuts, dtype=float)
-    spans = np.diff(cuts)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    spans = b - a
     npans = np.maximum(2, 2 * np.ceil(spans / (2.0 * h)).astype(np.int64))
     first = np.cumsum(npans + 1) - (npans + 1)
     seg = np.repeat(np.arange(spans.size), npans + 1)
     i = np.arange(seg.size) - first[seg]
     step = spans / npans
-    # np.linspace's arithmetic, then each interval's last node set to its cut
-    nodes = i * step[seg] + cuts[seg]
-    nodes[first + npans] = cuts[1:]
+    # np.linspace's arithmetic, then each interval's last node set to its end
+    nodes = i * step[seg] + a[seg]
+    nodes[first + npans] = b
     pattern = np.where(i % 2 == 1, 4.0, 2.0)
     pattern[first] = pattern[first + npans] = 1.0
     weights = pattern * (step / 3.0)[seg]
-    pieces = control.piece_index_at(0.5 * (cuts[:-1] + cuts[1:]))[seg]
+    pieces = control.piece_index_at(0.5 * (a + b))[seg]
     return nodes, weights, pieces, seg
 
 
@@ -578,34 +586,68 @@ def big_lambda(model: PopdmpModel, y, control: RelaxedControl, t: float) -> floa
 
 
 def _lambda_paths(model: PopdmpModel, starts, control: RelaxedControl, times) -> np.ndarray:
-    """Lambda^r(y, t) for each start y (rows) at each of the sorted times.
+    """Lambda^r(y, t) for each start y (rows) at each of the sorted times."""
+    return _lambda_lists(model, starts, control, [times])
 
-    The quadrature places sub-interval boundaries at every requested time and
-    every control breakpoint, so each returned value is a full composite
-    Simpson integral with step <= H_QUAD.
-    """
+
+def _check_times(times) -> np.ndarray:
+    """``times`` as a float array; it must be 1-d, finite, sorted and
+    nonnegative."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1:
         raise ValueError("times must be 1-d")
     # every comparison with a NaN is false, and an inf is last if anywhere
     if ts.size and not (ts[0] >= 0 and np.all(np.diff(ts) >= 0) and math.isfinite(ts[-1])):
         raise ValueError("times must be finite, sorted and nonnegative")
+    return ts
+
+
+def _lambda_lists(model: PopdmpModel, starts, control: RelaxedControl,
+                  time_lists) -> np.ndarray:
+    """Lambda^r(y, t) for each start y (rows) at the times of every list of
+    sorted times, the lists' columns one after the other.
+
+    Each list is integrated on its own cuts: 0, the control breakpoints
+    below its last time and its times, so each of its values is a full
+    composite Simpson integral with step <= H_QUAD and does not depend on
+    the other lists.  The lists share one node build over their distinct
+    intervals and one flow and hazard evaluation; each interval is summed
+    by one bincount bin in node order and each list by its own cumsum, so
+    every value equals a lone list's bit for bit.
+    """
+    lists = [_check_times(ts) for ts in time_lists]
+    cut_lists = [
+        np.unique(np.concatenate([[0.0], ts[-1:], ts,
+                                  [b for b in control.breaks if 0.0 < b < ts[-1]]]))
+        if ts.size else np.zeros(1) for ts in lists
+    ]
     k = len(starts)
-    if ts.size == 0 or ts[-1] == 0.0:
-        return np.zeros((k, ts.size))
-    t_end = float(ts[-1])
-    cuts = np.unique(
-        np.concatenate([[0.0, t_end], ts, [b for b in control.breaks if 0.0 < b < t_end]])
-    )
-    nodes, weights, pieces, seg = _simpson_nodes(control, cuts, H_QUAD)
-    pos = np.stack([flow_path(model, y, control, nodes) for y in starts])
-    lam = ControlPath(model, control, pos, pieces).hazard
-    n_seg = cuts.size - 1
+    n_int = np.array([c.size - 1 for c in cut_lists])
+    # each time's cut number in its list, so its integral sums that many intervals
+    rows = np.repeat(np.arange(len(lists)), [ts.size for ts in lists])
+    cols = np.concatenate([np.searchsorted(c, ts) for c, ts in zip(cut_lists, lists)])
+    if not n_int.any():
+        return np.zeros((k, cols.size))
+    # each distinct interval once: a complex key sorts (start, end) pairs exactly
+    ivals, ival_of = np.unique(
+        np.concatenate([c[:-1] + 1j * c[1:] for c in cut_lists]), return_inverse=True)
+    nodes, weights, pieces, seg = _simpson_nodes(control, ivals.real, ivals.imag, H_QUAD)
+    # flow and hazard along the sorted nodes, put back in node order
+    order = np.argsort(nodes)
+    pos = np.stack([flow_path(model, y, control, nodes[order]) for y in starts])
+    lam = np.empty((k, nodes.size))
+    lam[:, order] = ControlPath(model, control, pos, pieces[order]).hazard
+    n_seg = ivals.size
     # one bincount over (start, interval) bins sums each bin in node order
     bins = (np.arange(k)[:, None] * n_seg + seg).ravel()
     seg_int = np.bincount(bins, weights=(weights * lam).ravel(), minlength=k * n_seg)
-    cum = np.cumsum(seg_int.reshape(k, n_seg), axis=1)
-    return np.stack([np.interp(ts, cuts, np.concatenate([[0.0], c]), left=0.0) for c in cum])
+    # every list's intervals in order after a zero column, zero-padded to
+    # the longest list, so one cumsum gives each list's integral at its cuts
+    padded = np.zeros((k, len(lists), n_int.max() + 1))
+    padded[:, np.repeat(np.arange(len(lists)), n_int),
+           np.concatenate([np.arange(1, n + 1) for n in n_int])] = (
+        seg_int.reshape(k, n_seg)[:, ival_of])
+    return np.cumsum(padded, axis=2)[:, rows, cols]
 
 
 def lambda_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarray:

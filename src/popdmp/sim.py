@@ -6,8 +6,9 @@ mixture active at the proposal time, and accept with probability
 hazard(position, action) / bound.  Drawing the atom before the acceptance
 test makes the accepted (time, action) pair follow the hazard-weighted law
 that the transition density prescribes, and reduces to plain thinning when
-the hazard ignores the action.  A proposal whose hazard exceeds the bound
-raises ModelValidationError, because thinning would silently clip it.
+the hazard ignores the action.  A proposal whose hazard exceeds the bound,
+or is NaN, raises ModelValidationError, because thinning would silently clip
+or reject it.
 
 Reproducibility contract: trajectory ``i`` of a run with master seed ``s``
 consumes uniforms from ``PCG64(SeedSequence((s, i)))`` in a fixed order
@@ -33,6 +34,7 @@ import math
 import os
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -445,10 +447,12 @@ def _rowwise_inverse_cdf(cums: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _check_hazard_bound(model: PopdmpModel, rate) -> None:
-    """Thinning against the declared upper bound is exact only below it."""
-    if np.any(np.asarray(rate) > model.hazard_bounds[1] + _BOUND_TOL):
+    """Thinning against the declared upper bound is exact only below it; a
+    NaN rate fails the check too."""
+    if not np.all(np.asarray(rate) <= model.hazard_bounds[1] + _BOUND_TOL):
         raise ModelValidationError(
-            f"hazard {np.max(rate)!r} at a thinning proposal exceeds its declared upper bound")
+            f"hazard {np.max(rate)!r} at a thinning proposal is NaN or exceeds its declared "
+            "upper bound")
 
 
 def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
@@ -726,6 +730,48 @@ def _auto_workers(n_traj: int) -> int:
     return min(cores, max(1, n_traj // _AUTO_CHUNK_ROWS))
 
 
+@contextmanager
+def _mc_estimator(model: PopdmpModel, policy, n_traj: int, horizon: float | None,
+                  workers: int | None):
+    """Yield ``estimate(x0, seed) -> (mean, stderr)`` of the discounted cost
+    from each initial observation, as ``evaluate_policy_mc`` documents it.
+
+    The policy rule, the path tables, the chunk layout and the thread pool
+    are built once and shared by every estimate.
+    """
+    if n_traj < 1:
+        raise ValueError("need at least one trajectory")
+    if workers is not None and not workers >= 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    rule = _policy_rule(policy)
+    tables = SimTables(model, horizon)
+    if not isinstance(policy, (GridPolicy, RelaxedControl)):
+        if workers is not None and workers > 1:
+            warnings.warn(f"workers={workers} ignored: a callable policy runs single-threaded",
+                          RuntimeWarning, stacklevel=4)
+        workers = 1
+    elif workers is None:
+        workers = _auto_workers(n_traj)
+    bounds = np.linspace(0, n_traj, min(int(workers), n_traj) + 1).astype(int)
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+
+    def estimate(x0, seed: int) -> tuple[float, float]:
+        mu0 = initial_belief(model, x0)
+
+        def run_chunk(lo: int, hi: int) -> np.ndarray:
+            return _simulate_batch(rule, tables, _StreamBank(seed, np.arange(lo, hi)), mu0).costs
+
+        rest = [pool.submit(run_chunk, lo, hi) for lo, hi in chunks[1:]]
+        costs = np.concatenate([run_chunk(*chunks[0])] + [f.result() for f in rest])
+        mean = float(costs.mean())
+        stderr = float(costs.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
+        return mean, stderr
+
+    # a pool starts its threads on submit, so one chunk starts none
+    with ThreadPoolExecutor(max_workers=max(1, len(chunks) - 1)) as pool:
+        yield estimate
+
+
 def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
                        horizon: float | None = None, workers: int | None = None):
     """Sample mean and standard error of the discounted cost under a policy.
@@ -739,33 +785,8 @@ def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
     A callable policy assigns control ids as it meets them and runs in one
     chunk, so an explicit ``workers > 1`` then warns and runs single-threaded.
     """
-    if n_traj < 1:
-        raise ValueError("need at least one trajectory")
-    if workers is not None and not workers >= 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    rule = _policy_rule(policy)
-    tables = SimTables(model, horizon)
-    mu0 = initial_belief(model, x0)
-
-    def run_chunk(lo: int, hi: int) -> np.ndarray:
-        return _simulate_batch(rule, tables, _StreamBank(seed, np.arange(lo, hi)), mu0).costs
-
-    if not isinstance(policy, (GridPolicy, RelaxedControl)):
-        if workers is not None and workers > 1:
-            warnings.warn(f"workers={workers} ignored: a callable policy runs single-threaded",
-                          RuntimeWarning, stacklevel=2)
-        workers = 1
-    elif workers is None:
-        workers = _auto_workers(n_traj)
-    bounds = np.linspace(0, n_traj, min(int(workers), n_traj) + 1).astype(int)
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-    # a pool starts its threads on submit, so one chunk starts none
-    with ThreadPoolExecutor(max_workers=max(1, len(chunks) - 1)) as pool:
-        rest = [pool.submit(run_chunk, lo, hi) for lo, hi in chunks[1:]]
-        costs = np.concatenate([run_chunk(*chunks[0])] + [f.result() for f in rest])
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return mean, stderr
+    with _mc_estimator(model, policy, n_traj, horizon, workers) as estimate:
+        return estimate(x0, seed)
 
 
 @dataclass
@@ -811,12 +832,12 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
     v_policy = sweep.policy_fixed_point(policy.argmins)
     vg = ValueGrid(policy.grid, v_policy)
     rows = []
-    for k, x0 in enumerate(observations):
-        v_mdp = interpolate(vg, initial_belief(model, x0))
-        mc, se = evaluate_policy_mc(model, x0, policy, n_traj, seed + k,
-                                    horizon=horizon, workers=workers)
-        diff = mc - v_mdp
-        z = diff / math.hypot(se, 1e-3 * (1.0 + abs(v_mdp)))
-        rows.append(CrossCheckRow(x0=float(np.atleast_1d(x0)[0]), mc_mean=mc, stderr=se,
-                                  mdp_value=v_mdp, z=z))
+    with _mc_estimator(model, policy, n_traj, horizon, workers) as estimate:
+        for k, x0 in enumerate(observations):
+            v_mdp = interpolate(vg, initial_belief(model, x0))
+            mc, se = estimate(x0, seed + k)
+            diff = mc - v_mdp
+            z = diff / math.hypot(se, 1e-3 * (1.0 + abs(v_mdp)))
+            rows.append(CrossCheckRow(x0=float(np.atleast_1d(x0)[0]), mc_mean=mc, stderr=se,
+                                      mdp_value=v_mdp, z=z))
     return CrossCheckReport(rows=rows)

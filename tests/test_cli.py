@@ -412,6 +412,18 @@ def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key)
     assert key in result.output
 
 
+@pytest.mark.parametrize("section, value", [("model", 5), ("solver", 5), ("sim", [1, 2])])
+def test_a_section_that_is_not_a_mapping_is_a_config_error(tmp_path, section, value):
+    # these ended in an AttributeError or in a message about a key of the
+    # section ("solver.grid_k must be a positive integer, got None")
+    cfg_path = write_cfg(tmp_path / "cfg.yaml",
+                         {"output": {"directory": str(tmp_path / "out")}, section: value})
+    result = CliRunner().invoke(main, ["solve", "--config", cfg_path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"{section} must be a mapping, got {value!r}" in result.output
+
+
 def test_filter_command_with_sigma_writes_the_library_beliefs(tmp_path):
     cfg_path = write_cfg(tmp_path / "cfg.yaml", {"output": {"directory": str(tmp_path / "out")}})
     events = [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.integrate import trapezoid
 
 import popdmp as P
-from popdmp.model import _lambda_paths
+import popdmp.filtering as F
+from popdmp.model import H_QUAD, ControlPath, _lambda_paths, flow_path, simpson_weights
 
 
 def simpson(fn, lo, hi, n):
@@ -370,3 +372,191 @@ def test_all_states_hazard_integral_matches_lambda_path():
     together = _lambda_paths(m, m.post_jump_states, r, ts)
     for i, y in enumerate(m.post_jump_states):
         assert np.abs(together[i] - P.lambda_path(m, y, r, ts)).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the batched filter against the per-event update it replaced
+#
+# The oracle below evaluates q-tilde for one event at a time: its own
+# Simpson node build per hazard integral, its own flows and ControlPath.
+# filter_trajectory computes a block of events per control in one pass and
+# must give the same beliefs bit for bit for closed-form flows.
+
+
+def _oracle_simpson_nodes(control, cuts, h):
+    cuts = np.asarray(cuts, dtype=float)
+    spans = np.diff(cuts)
+    npans = np.maximum(2, 2 * np.ceil(spans / (2.0 * h)).astype(np.int64))
+    first = np.cumsum(npans + 1) - (npans + 1)
+    seg = np.repeat(np.arange(spans.size), npans + 1)
+    i = np.arange(seg.size) - first[seg]
+    step = spans / npans
+    nodes = i * step[seg] + cuts[seg]
+    nodes[first + npans] = cuts[1:]
+    pattern = np.where(i % 2 == 1, 4.0, 2.0)
+    pattern[first] = pattern[first + npans] = 1.0
+    weights = pattern * (step / 3.0)[seg]
+    pieces = control.piece_index_at(0.5 * (cuts[:-1] + cuts[1:]))[seg]
+    return nodes, weights, pieces, seg
+
+
+def _oracle_lambda_paths(model, control, ts):
+    k = model.n_states
+    if ts[-1] == 0.0:
+        return np.zeros((k, ts.size))
+    t_end = float(ts[-1])
+    cuts = np.unique(
+        np.concatenate([[0.0, t_end], ts, [b for b in control.breaks if 0.0 < b < t_end]])
+    )
+    nodes, weights, pieces, seg = _oracle_simpson_nodes(control, cuts, H_QUAD)
+    pos = np.stack([flow_path(model, y, control, nodes) for y in model.post_jump_states])
+    lam = ControlPath(model, control, pos, pieces).hazard
+    n_seg = cuts.size - 1
+    bins = (np.arange(k)[:, None] * n_seg + seg).ravel()
+    seg_int = np.bincount(bins, weights=(weights * lam).ravel(), minlength=k * n_seg)
+    cum = np.cumsum(seg_int.reshape(k, n_seg), axis=1)
+    return np.stack([np.interp(ts, cuts, np.concatenate([[0.0], c]), left=0.0) for c in cum])
+
+
+def _oracle_qtilde(model, control, ts, x):
+    egamma = np.exp(-model.discount * ts - _oracle_lambda_paths(model, control, ts))
+    hk = ControlPath.from_post_jump_states(model, control, ts).kernel_rows
+    out = np.ascontiguousarray((egamma[:, :, None] * hk).transpose(1, 0, 2))
+    noisew = model.noise.density(np.asarray(x, dtype=float) - model.post_jump_states)
+    return out * noisew[None, None, :]
+
+
+def _oracle_filter(model, x0, events, kernel=None):
+    mu = P.initial_belief(model, x0)
+    out = [mu.probs]
+    for control, s, x in events:
+        if kernel is None:
+            numer = mu.probs @ _oracle_qtilde(model, control, np.array([float(s)]), x)[0]
+        else:
+            w = kernel.halfwidth
+            lo, hi = max(0.0, s - w), s + w
+            step = min(kernel.sigma / 8.0, 0.02)
+            npan = max(8, 2 * math.ceil((hi - lo) / (2.0 * step)))
+            nodes = np.linspace(lo, hi, npan + 1)
+            coeff = simpson_weights(npan, (hi - lo) / npan) * kernel.density(s - nodes)
+            mats = _oracle_qtilde(model, control, nodes, x)
+            numer = np.einsum("k,i,kij->j", coeff, mu.probs, mats)
+        mu = P.Belief(numer / numer.sum())
+        out.append(mu.probs)
+    return np.array(out)
+
+
+def kinked_model():
+    """Three states; a hazard table kinked at -2, 0.5 and 2, and kernel rows
+    that mix all three states, so every q-tilde entry carries the hazard."""
+    return P.table_model(
+        states=[-2.0, 0.0, 2.0],
+        cost_table=[(-2.0, 1.0), (2.0, 1.0)],
+        kernel_table=[(-2.0, 0.7, 0.2, 0.1), (0.3, 0.1, 0.6, 0.3), (2.0, 0.2, 0.1, 0.7)],
+        hazard=[(-2.0, 0.8), (0.5, 1.9), (2.0, 1.2)],
+        noise_offsets=[-1.0, 0.0, 1.0],
+        noise_weights=[0.3, 0.4, 0.3],
+    )
+
+
+DIFF_KERNELS = {
+    "exact": None,
+    "gaussian": P.RegularizationKernel("gaussian", 0.1),
+    "epanechnikov": P.RegularizationKernel("epanechnikov", 0.05),
+}
+
+
+def differential_log(model, n, seed):
+    """A sampled log under switch and mixture controls whose breaks fall
+    inside the regularization windows, then the edge cases: a jump exactly
+    at a break, jumps within one halfwidth of zero (the window starts at 0),
+    and a repeated (control, s) pair."""
+    gen = np.random.default_rng(seed)
+    mix = P.ActionMixture.of([(1.0, 0.25), (-1.0, 0.75)])
+    controls = [P.switch_control(1.0, 0.5), P.switch_control(-1.0, 0.3),
+                P.RelaxedControl.constant(0.5),
+                P.RelaxedControl.from_pieces([(0.0, mix), (0.6, 0.5), (0.65, -0.3)])]
+    y, events = 1, []
+    for _ in range(n):
+        control = controls[int(gen.integers(len(controls)))]
+        s, y, x = P.sample_jump(model, y, control, gen)
+        events.append((control, s, x))
+    x = events[-1][2]
+    events += [(controls[0], 0.5, x), (controls[3], 0.6, x), (controls[1], 0.04, x),
+               (controls[2], 0.2, x), (controls[1], 0.04, x), events[3]]
+    return events
+
+
+@pytest.fixture(scope="module")
+def differential_cases():
+    steering = P.particle_steering_model(q0="uniform")
+    kinked = kinked_model()
+    return {"steering": (steering, differential_log(steering, 30, 5)),
+            "kinked": (kinked, differential_log(kinked, 30, 6))}
+
+
+def beliefs_of(model, x0, events, kernel):
+    return np.array([b.probs for b in P.filter_trajectory(model, x0, events, kernel=kernel)])
+
+
+@pytest.mark.parametrize("kind", sorted(DIFF_KERNELS))
+@pytest.mark.parametrize("name", ["steering", "kinked"])
+def test_batched_filter_matches_the_per_event_oracle_bit_for_bit(differential_cases, name,
+                                                                   kind):
+    model, events = differential_cases[name]
+    kernel = DIFF_KERNELS[kind]
+    want = _oracle_filter(model, 0.0, events, kernel)
+    assert np.array_equal(beliefs_of(model, 0.0, events, kernel), want)
+    for short in ([], events[:1], events[-1:]):
+        assert np.array_equal(beliefs_of(model, 0.0, short, kernel),
+                              _oracle_filter(model, 0.0, short, kernel))
+    # the one-event updates are the same batch of one
+    mu = P.Belief(want[-2])
+    control, s, x = events[-1]
+    one = (P.update(model, mu, control, s, x) if kernel is None
+           else P.update_regularized(model, mu, control, s, x, kernel))
+    assert np.array_equal(one.probs, want[-1])
+
+
+@pytest.mark.parametrize("blocks", ["one event", "seven events"])
+def test_block_size_does_not_move_the_beliefs(differential_cases, monkeypatch, blocks):
+    model, events = differential_cases["kinked"]
+    kernel = DIFF_KERNELS["gaussian"]
+    budget = 1 if blocks == "one event" else sum(
+        F._event(model, n, c, s, x, kernel).nodes for n, (c, s, x) in enumerate(events[:7]))
+    sizes = []
+    fill = F._fill_qtilde
+    monkeypatch.setattr(F, "_NODE_BUDGET", budget)
+    monkeypatch.setattr(F, "_fill_qtilde", lambda m, block: sizes.append(len(block))
+                        or fill(m, block))
+    got = beliefs_of(model, 0.0, events, kernel)
+    assert sizes[0] == (1 if blocks == "one event" else 7)
+    assert sum(sizes) == len(events) and len(sizes) > 1
+    assert np.array_equal(got, _oracle_filter(model, 0.0, events, kernel))
+
+
+def test_batched_filter_on_a_vector_field_drift_agrees_to_1e12():
+    # RK4 knots follow the requested times, which a batch shares across
+    # events, so only closed-form flows are bit for bit
+    model = dataclasses.replace(kinked_model(), drift=P.velocity_field())
+    mix = P.ActionMixture.of([(1.0, 0.25), (-1.0, 0.75)])
+    events = [(P.switch_control(1.0, 0.5), 0.7, 1.0),
+              (P.RelaxedControl.from_pieces([(0.0, mix), (0.6, 0.5)]), 0.9, -1.0),
+              (P.switch_control(-1.0, 0.3), 0.2, 0.0), (P.switch_control(1.0, 0.5), 0.4, 1.0)]
+    for kernel in (None, DIFF_KERNELS["epanechnikov"]):
+        got = beliefs_of(model, 0.0, events, kernel)
+        assert np.abs(got - _oracle_filter(model, 0.0, events, kernel)).max() <= 1e-12
+
+
+def test_batched_filter_raises_at_the_first_failing_event_in_log_order(steering_uniform_q0):
+    r = P.RelaxedControl.constant(0.0)
+    impossible = (r, 0.5, 0.5)   # 0.5 is no state plus a noise offset
+    for kernel in (None, DIFF_KERNELS["gaussian"]):
+        # a zero likelihood at event 1 comes before a bad time at event 3
+        with pytest.raises(P.ImpossibleObservationError, match="event 1"):
+            P.filter_trajectory(steering_uniform_q0, 0.0,
+                                [(r, 0.5, 0.0), impossible, (r, 0.5, 0.0), (r, 0.0, 0.0)],
+                                kernel=kernel)
+        with pytest.raises(ValueError, match="event 1: inter-jump time must be positive"):
+            P.filter_trajectory(steering_uniform_q0, 0.0,
+                                [(r, 0.5, 0.0), (r, -1.0, 0.0), impossible], kernel=kernel)

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -218,9 +219,23 @@ def test_gamma_is_exactly_discount_plus_lambda(steering):
         assert P.gamma(steering, [-2.0], r, t) == steering.discount * t + lam
 
 
+def test_controls_built_from_lists_hash_like_tuples(steering):
+    # the batched filter groups events by control, as the stage tables and
+    # the simulator key their tables; a control built from lists used to be
+    # unhashable
+    mix = P.ActionMixture(actions=[(1.0,), (-1.0,)], weights=[0.25, 0.75])
+    listed = P.RelaxedControl(pieces=[mix, P.ActionMixture.dirac(0.0)], breaks=[0.5])
+    tupled = P.RelaxedControl.from_pieces([(0.0, P.ActionMixture.of([(1.0, 0.25), (-1.0, 0.75)])),
+                                           (0.5, 0.0)])
+    assert listed == tupled and hash(listed) == hash(tupled)
+    events = [(listed, 0.7, 1.0), (tupled, 0.4, 1.0)]
+    beliefs = P.filter_trajectory(steering, 0.0, events)
+    assert np.array_equal(beliefs[-1].probs, P.update(steering, beliefs[1], tupled, 0.4, 1.0).probs)
+
+
 def test_simpson_nodes_tag_breakpoint_sides():
     r = P.RelaxedControl.from_pieces([(0.0, 1.0), (0.5, 0.0)])
-    nodes, weights, pieces, _ = _simpson_nodes(r, [0.0, 0.5, 1.0], 0.25)
+    nodes, weights, pieces, _ = _simpson_nodes(r, [0.0, 0.5], [0.5, 1.0], 0.25)
     at_break = np.flatnonzero(nodes == 0.5)
     assert len(at_break) == 2
     assert sorted(pieces[at_break]) == [0, 1]
@@ -325,6 +340,25 @@ def test_kernel_rows_must_sum_to_one():
 def test_hazard_must_stay_in_declared_bounds():
     with pytest.raises(P.ModelValidationError):
         toy_model(hazard=lambda pts, a: np.full(pts.shape[0], 3.0), hazard_bounds=(1.0, 2.0))
+
+
+def nan_beyond(fn, limit):
+    """``fn`` with NaN in the rows of points beyond |y| > limit."""
+    def wrapped(pts, a):
+        out = np.array(fn(pts, a), dtype=float)
+        out[np.abs(pts[:, 0]) > limit] = np.nan
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("field, what", [("jump_kernel", "jump kernel"), ("hazard", "hazard"),
+                                         ("cost_rate", "cost rate")])
+def test_nan_local_characteristics_fail_validation(field, what):
+    # the sample positions reach |y| = 4; every bound check used to be
+    # false for a NaN, so such a model constructed
+    steering = P.particle_steering_model()
+    with pytest.raises(P.ModelValidationError, match=what):
+        dataclasses.replace(steering, **{field: nan_beyond(getattr(steering, field), 3.0)})
 
 
 def test_noise_model_validation():

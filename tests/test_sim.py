@@ -521,6 +521,22 @@ def test_thinning_refuses_a_hazard_above_its_declared_bound():
             P.sample_jump(m, 1, r, P.RngStream(5, i))
 
 
+def test_thinning_refuses_a_nan_hazard_off_the_sample_grid():
+    # NaN on (0.15, 0.35), between the validation sample points (multiples
+    # of 0.5), so the model validates; thinning used to reject every
+    # proposal there without a word
+    m = dataclasses.replace(
+        P.particle_steering_model(),
+        hazard=lambda pts, a: np.where(np.abs(pts[:, 0] - 0.25) < 0.1, np.nan, 1.0),
+    )
+    r = P.RelaxedControl.constant(1.0)
+    with pytest.raises(P.ModelValidationError, match="NaN"):
+        P.evaluate_policy_mc(m, 0.0, r, n_traj=200, seed=3)
+    with pytest.raises(P.ModelValidationError, match="NaN"):
+        for i in range(50):
+            P.sample_jump(m, 1, r, P.RngStream(5, i))
+
+
 def test_simulator_raises_on_an_impossible_observation():
     # with match_tol=1e-20, state 2 plus offset 0.3 does not match back
     # (2.3 - 2.0 != 0.3 in floating point), so the generated observation has
