@@ -71,6 +71,43 @@ class SimplexGrid:
             return table[codes]
         return np.searchsorted(self._codes, codes)
 
+    @cached_property
+    def _faces(self) -> dict:
+        return {}
+
+    def face(self, support) -> tuple["SimplexGrid", np.ndarray]:
+        """The grid on the face of the simplex spanned by the states
+        ``support`` (strictly increasing indices) and the index here of each
+        of its points.
+
+        A belief that is zero off ``support`` has the same cumulative
+        coordinates on the face as here, repeated where the skipped zeros
+        would be summed in, since adding +0.0 changes no sum.  Repeated
+        coordinates have tied fractional parts, so the vertices the face
+        leaves out get weight ``f - f = 0`` here: the face locator returns
+        this grid's nonzero vertices and weights bit for bit.  Each support
+        is built on first use and cached; the full support is this grid
+        with the identity map.
+        """
+        states = np.asarray(support)
+        key = tuple(states.tolist())
+        hit = self._faces.get(key)
+        if hit is None:
+            if not (states.ndim == 1 and states.size and states.dtype.kind in "iu"
+                    and states[0] >= 0 and states[-1] < self.dim
+                    and np.all(np.diff(states) > 0)):
+                raise ValueError(f"support {key} is not a strictly increasing list of states")
+            if len(key) == self.dim:
+                hit = (self, np.arange(self.n_points))
+            else:
+                sub = build_simplex_grid(len(key), self.subdivisions)
+                lattice = np.zeros((sub.n_points, self.dim), dtype=np.int64)
+                lattice[:, key] = _compositions(self.subdivisions, len(key))
+                codes = np.cumsum(lattice[:, :-1], axis=1) @ _code_base(self.dim, self.subdivisions)
+                hit = (sub, self._lookup(codes))
+            self._faces[key] = hit
+        return hit
+
     def vertex_index(self, composition) -> int:
         xi = np.cumsum(np.asarray(composition, dtype=np.int64)[:-1])
         code = xi @ _code_base(self.dim, self.subdivisions)

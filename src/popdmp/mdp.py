@@ -326,10 +326,14 @@ def transition_matrix(ctx: StageContext, control: RelaxedControl,
     slice) is at most ``_DENOM_FLOOR``, located on the grid, and weighted by
     its class-weighted probability times the barycentric weights.  Grouping
     the nodes only regroups the Simpson sum, so the matrix equals the
-    per-node sum up to rounding.  An atom whose noise weights have a single
-    nonzero entry u yields the posterior e_u exactly (x/x and 0/x) wherever
-    it is kept, so e_u is located once and each row's mass, summed over its
-    kept time classes, is spread over its barycentric weights.  Entries are
+    per-node sum up to rounding.  An atom whose noise weights are nonzero
+    on the states S only yields posteriors that are zero off S, so they are
+    formed and located on the face of the grid spanned by S
+    (``SimplexGrid.face``); the full locator would return the same nonzero
+    vertices and weights bit for bit, plus vertices of weight exactly 0.  A
+    single-state atom u yields the posterior e_u exactly (x/x) wherever it
+    is kept, so e_u is located once and each row's mass, summed over its
+    kept time classes, goes to that vertex.  Entries are
     added in place into one dense (beliefs x grid points) buffer, and the
     result stores no explicit zeros.  A value grid's expectation is therefore
     ``transition_matrix(...) @ values``.
@@ -344,25 +348,27 @@ def transition_matrix(ctx: StageContext, control: RelaxedControl,
     dense = np.zeros(n_rows * n_cols)
     for wvec in ctx.obs_weights:
         support = np.flatnonzero(wvec)
+        face, to_grid = grid.face(support)
         if support.size == 1:
             u = support[0]
             wx = wvec[u] * un_w[:, u]
             keep = (wx > 0.0) & (wvec[u] * un_b[:, u] > _DENOM_FLOOR)
             psel = np.flatnonzero(keep.any(axis=1))
             pw = np.where(keep[psel], wx[psel], 0.0) @ cw
-            posts = np.eye(1, wvec.size, u)
+            posts = np.ones((1, 1))
         else:
             wx = np.einsum("u,puc->pc", wvec, un_w)
-            numer = wvec[None, :, None] * un_b
+            numer = wvec[None, support, None] * un_b[:, support]
             denom = numer.sum(axis=1)
             psel, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
             pw = cw[csel] * wx[psel, csel]
             posts = numer[psel, :, csel] / denom[psel, csel][:, None]
         if psel.size == 0:
             continue
-        idx, bw = grid.barycentric_batch(posts)
+        idx, bw = face.barycentric_batch(posts)
         # flat: numpy's fast ufunc.at path takes a 1-d index (2-d ran about 6x slower)
-        np.add.at(dense, (psel[:, None] * n_cols + idx).ravel(), (pw[:, None] * bw).ravel())
+        np.add.at(dense, (psel[:, None] * n_cols + to_grid[idx]).ravel(),
+                  (pw[:, None] * bw).ravel())
     return sp.csr_matrix(dense.reshape(n_rows, n_cols))
 
 

@@ -422,6 +422,11 @@ def flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarr
     breakpoints so each step sees a constant mixture.
     """
     model.check_control(control)
+    return _flow_path(model, y, control, times)
+
+
+def _flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarray:
+    """``flow_path`` for a control its caller has checked."""
     y = _as_vector(y)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or (t.size and (t[0] < 0 or np.any(np.diff(t) < 0))):
@@ -531,10 +536,18 @@ class ControlPath:
         self.points = np.asarray(points, dtype=float)
         self.shape = self.points.shape[:-1]
         flat = self.points.reshape(-1, self.points.shape[-1])
-        piece = np.broadcast_to(piece_of, self.shape).ravel()
+        piece_of = np.asarray(piece_of)
+        if len(self.shape) == 2 and piece_of.shape == self.shape[1:]:
+            # pieces per node, shared by every start: group the nodes once and
+            # take each group start by start, the order a stable argsort of
+            # the broadcast array gives
+            starts = np.arange(self.shape[0])[:, None] * self.shape[1]
+            groups = [(p, (starts + g).ravel()) for p, g in _index_groups(piece_of)]
+        else:
+            groups = _index_groups(np.broadcast_to(piece_of, self.shape).ravel())
         # (rows, their points, action, weight) for each atom of each piece in use
         self._atoms = []
-        for p, sel in _index_groups(piece):
+        for p, sel in groups:
             pts = flat[sel]
             mix = control.pieces[p]
             for a, w in zip(mix.actions, mix.weights):
@@ -543,8 +556,9 @@ class ControlPath:
     @classmethod
     def from_post_jump_states(cls, model: PopdmpModel, control: RelaxedControl,
                               times) -> "ControlPath":
-        """Path along the flows from every post-jump state; points (d, n, D)."""
-        pos = np.stack([flow_path(model, y, control, times) for y in model.post_jump_states])
+        """Path along the flows from every post-jump state; points (d, n, D).
+        The caller checks ``control``."""
+        pos = np.stack([_flow_path(model, y, control, times) for y in model.post_jump_states])
         return cls(model, control, pos, control.piece_index_at(times))
 
     def _sum_over_atoms(self, terms, tail=()) -> np.ndarray:
@@ -634,7 +648,8 @@ def _lambda_lists(model: PopdmpModel, starts, control: RelaxedControl,
     nodes, weights, pieces, seg = _simpson_nodes(control, ivals.real, ivals.imag, H_QUAD)
     # flow and hazard along the sorted nodes, put back in node order
     order = np.argsort(nodes)
-    pos = np.stack([flow_path(model, y, control, nodes[order]) for y in starts])
+    model.check_control(control)  # once for every start's flow
+    pos = np.stack([_flow_path(model, y, control, nodes[order]) for y in starts])
     lam = np.empty((k, nodes.size))
     lam[:, order] = ControlPath(model, control, pos, pieces[order]).hazard
     n_seg = ivals.size

@@ -45,7 +45,7 @@ from scipy.integrate import cumulative_simpson
 from .filtering import _DENOM_FLOOR, Belief, ImpossibleObservationError, initial_belief
 from .grid import ValueGrid, interpolate
 from .model import (_BOUND_TOL, ClosedFormFlow, ControlPath, ModelValidationError, PopdmpModel,
-                    RelaxedControl, _index_groups, flow_path)
+                    RelaxedControl, _flow_path, _index_groups)
 from .solver import BellmanSweep, GridPolicy
 
 __all__ = [
@@ -179,6 +179,7 @@ class SimTables:
         model = self.model
         ts = np.arange(self._n) * _SIM_STEP
         closed = isinstance(model.drift, ClosedFormFlow)
+        model.check_control(control)
         path = ControlPath.from_post_jump_states(model, control, ts)
         lam_int = cumulative_simpson(path.hazard, dx=_SIM_STEP, axis=1, initial=0.0)
         cum_cost = cumulative_simpson(
@@ -633,7 +634,7 @@ def sample_jump(model: PopdmpModel, y, control: RelaxedControl, rng):
         mix = control.mixture_at(t)
         aidx = int(_inverse_cdf(np.cumsum(mix.weights), np.array([gen.random()]))[0])
         av = np.asarray(mix.actions[aidx], dtype=float)
-        pos = flow_path(model, y_pt, control, np.array([t]))[0]
+        pos = _flow_path(model, y_pt, control, np.array([t]))[0]
         lam = float(np.asarray(model.hazard(pos[None, :], av), dtype=float)[0])
         _check_hazard_bound(model, lam)
         if gen.random() * lam_bar <= lam:

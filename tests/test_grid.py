@@ -131,6 +131,55 @@ def test_every_belief_lands_in_an_enumerated_simplex():
                     assert abs(wv - lam[v]) <= 1e-12, (d, K, b)
 
 
+@st.composite
+def faces(draw):
+    """A grid of dimension 2..5, a support on it (any size, adjacent or not)
+    and a seed."""
+    d = draw(st.integers(2, 5))
+    K = draw(st.sampled_from([1, 2, 3, 4, 7, 8, 16]))
+    support = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    return P.build_simplex_grid(d, K), sorted(support), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(faces())
+def test_face_locator_matches_the_full_locator(case):
+    # a belief zero off the support, located on the face and mapped through
+    # the table, gives the full locator's nonzero vertices and weights in
+    # their order, bit for bit
+    grid, support, seed = case
+    face, to_grid = grid.face(support)
+    rng = np.random.default_rng(seed)
+    m = len(support)
+    on_face = np.vstack([face.points, rng.dirichlet(np.ones(m), size=40),
+                         rng.dirichlet(np.full(m, 0.2), size=20)]
+                        + ([_tie_heavy_beliefs(face, rng, 60)] if m > 1 else []))
+    full = np.zeros((on_face.shape[0], grid.dim))
+    full[:, support] = on_face
+    idx_f, w_f = face.barycentric_batch(on_face)
+    idx, w = grid.barycentric_batch(full)
+    assert np.array_equal((w_f > 0.0).sum(axis=1), (w > 0.0).sum(axis=1))
+    assert np.array_equal(to_grid[idx_f][w_f > 0.0], idx[w > 0.0])
+    assert np.array_equal(w_f[w_f > 0.0].view(np.uint64), w[w > 0.0].view(np.uint64))
+
+
+def test_face_tables_and_cache():
+    grid = P.build_simplex_grid(4, 5)
+    assert "_faces" not in grid.__dict__  # nothing is built with the grid
+    same, ident = grid.face([0, 1, 2, 3])
+    assert same is grid and np.array_equal(ident, np.arange(grid.n_points))
+    for support in ([0, 2], [1, 3], [0, 1, 3], [2]):
+        face, to_grid = grid.face(support)
+        assert face.dim == len(support) and face.subdivisions == 5
+        embedded = np.zeros((face.n_points, 4))
+        embedded[:, support] = face.points
+        assert np.array_equal(grid.points[to_grid], embedded)
+        assert grid.face(support)[0] is face
+    for bad in ([], [1, 0], [2, 2], [4], [-1, 2]):
+        with pytest.raises(ValueError, match="support"):
+            grid.face(bad)
+
+
 def test_codes_follow_point_order():
     for d, K in ((1, 5), (2, 7), (3, 40), (4, 6), (5, 4), (6, 3)):
         grid = P.build_simplex_grid(d, K)

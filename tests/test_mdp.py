@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import popdmp as P
+import popdmp.mdp as mdp_module
 import popdmp.solver as solver_module
 from popdmp.filtering import _DENOM_FLOOR
 from popdmp.mdp import (_TIE_RTOL, _smooth_tensor, _tie_stable_min, _time_classes,
@@ -337,7 +339,7 @@ def reference_transition_matrix(ctx, control, kernel, grid, beliefs):
 
 @st.composite
 def table_models(draw, lattice_noise=False):
-    d = draw(st.integers(2, 3))
+    d = draw(st.integers(2, 4 if lattice_noise else 3))
     if lattice_noise:
         # evenly spaced states and a run of offsets on the same lattice with
         # geometric weights: the end atoms see one state only, and shifting
@@ -346,7 +348,7 @@ def table_models(draw, lattice_noise=False):
         start = draw(st.integers(-4, 0))
         states = [start + step * i for i in range(d)]
         first = draw(st.integers(-2, 0))
-        n_off = draw(st.integers(2, 4))
+        n_off = draw(st.integers(2, 5))
         offsets = [0.5 * step * (first + j) for j in range(n_off)]
         ratio = draw(st.sampled_from([1.0, 0.5, 2.0, 3.0]))
         noise_weights = ratio ** np.arange(n_off)
@@ -357,8 +359,10 @@ def table_models(draw, lattice_noise=False):
     kern_nodes = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=3, unique=True)))
     # dyadic rows: where the flow rests on a plateau, every kernel slice is
     # then an exact scalar multiple of one matrix, bit for bit
-    rows = ([(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.25, 0.25)] if d == 3
-            else [(1.0, 0.0), (0.5, 0.5)])
+    rows = {2: [(1.0, 0.0), (0.5, 0.5)],
+            3: [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.25, 0.25)],
+            4: [(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0), (0.5, 0.25, 0.25, 0.0),
+                (0.25, 0.25, 0.25, 0.25)]}[d]
     kernel_table = [(0.5 * y, *draw(st.permutations(draw(st.sampled_from(rows)))))
                     for y in kern_nodes]
     if draw(st.booleans()):
@@ -437,8 +441,9 @@ def per_atom_posteriors(ctx, control, kernel, beliefs):
 @given(table_models(lattice_noise=True), st.floats(-1.0, 1.0), st.floats(0.05, 2.0),
        st.floats(0.05, 0.3), st.integers(0, 2**32 - 1))
 def test_single_support_atoms_match_the_per_atom_reference(model, action, tau, sigma, seed):
-    # an atom seen from one state only is located once, as its vertex, and
-    # the kernel still equals the per-atom, per-node sum
+    # an atom seen from one state only is located once, as its vertex, the
+    # others on their faces (up to three states of four), and the kernel
+    # still equals the per-atom, per-node sum
     ctx = P.StageContext(model, P.StageQuadrature.for_model(model, h=0.05))
     single = (ctx.obs_weights > 0.0).sum(axis=1) == 1
     assert single.any()
@@ -555,3 +560,131 @@ def test_controlled_hazard_requires_a_kernel():
     ev = P.expected_next_value(m, vg, [0.5, 0.5], r,
                                kernel=P.RegularizationKernel("gaussian", 0.1))
     assert 0.0 < ev < 1.0
+
+
+# ---------------------------------------------------------------------------
+# posteriors on their faces
+
+
+def full_locator_transition_matrix(ctx, control, kernel, grid, beliefs):
+    """``transition_matrix`` as it was before posteriors were located on
+    their faces: every multi-state atom forms its posteriors over all d
+    states and locates them with the full grid's locator."""
+    tb = ctx.tables(control)
+    d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else None
+    c_w, c_b, cw = _time_classes(tb, d_b)
+    d, n_cls = c_w.shape[0], cw.size
+    un_w = (beliefs @ c_w.reshape(d, -1)).reshape(-1, d, n_cls)
+    un_b = un_w if d_b is None else (beliefs @ c_b.reshape(d, -1)).reshape(-1, d, n_cls)
+    n_rows, n_cols = beliefs.shape[0], grid.n_points
+    dense = np.zeros(n_rows * n_cols)
+    for wvec in ctx.obs_weights:
+        support = np.flatnonzero(wvec)
+        if support.size == 1:
+            u = support[0]
+            wx = wvec[u] * un_w[:, u]
+            keep = (wx > 0.0) & (wvec[u] * un_b[:, u] > _DENOM_FLOOR)
+            psel = np.flatnonzero(keep.any(axis=1))
+            pw = np.where(keep[psel], wx[psel], 0.0) @ cw
+            posts = np.eye(1, wvec.size, u)
+        else:
+            wx = np.einsum("u,puc->pc", wvec, un_w)
+            numer = wvec[None, :, None] * un_b
+            denom = numer.sum(axis=1)
+            psel, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+            pw = cw[csel] * wx[psel, csel]
+            posts = numer[psel, :, csel] / denom[psel, csel][:, None]
+        if psel.size == 0:
+            continue
+        idx, bw = grid.barycentric_batch(posts)
+        np.add.at(dense, (psel[:, None] * n_cols + idx).ravel(), (pw[:, None] * bw).ravel())
+    return sp.csr_matrix(dense.reshape(n_rows, n_cols))
+
+
+def four_state_model():
+    """States -3, -1, 1, 3 and offsets -2, 0, 2: its six atoms are seen
+    from 1, 2, 3, 3, 2 and 1 states."""
+    return P.table_model(
+        states=[-3.0, -1.0, 1.0, 3.0],
+        cost_table=[(-3.0, 4.0), (0.0, 0.0), (3.0, 4.0)],
+        kernel_table=[(-3.0, 0.5, 0.5, 0.0, 0.0), (0.0, 0.25, 0.25, 0.25, 0.25),
+                      (3.0, 0.0, 0.0, 0.5, 0.5)],
+        hazard=1.0, noise_offsets=[-2.0, 0.0, 2.0], noise_weights=[0.25, 0.5, 0.25])
+
+
+def split_support_model():
+    """States -2, 0, 2 and offsets -2, 2: x = 0 is seen from states 0 and 2
+    only, a face of non-adjacent states."""
+    return P.table_model(
+        states=[-2.0, 0.0, 2.0],
+        cost_table=[(-2.0, 3.0), (2.0, 1.0)],
+        kernel_table=[(-2.0, 0.5, 0.25, 0.25), (2.0, 0.25, 0.25, 0.5)],
+        hazard=[(-1.0, 0.7), (1.0, 1.6)], noise_offsets=[-2.0, 2.0], noise_weights=[0.5, 0.5])
+
+
+def assert_same_sweeps(got, ref):
+    assert np.array_equal(got.gmat, ref.gmat)
+    for a, b in zip(got.mats, ref.mats, strict=True):
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["steering-k40", "steering-k15", "four-state", "split-support"])
+def test_face_kernel_matches_the_full_locator_bit_for_bit(case, steering, monkeypatch):
+    if case.startswith("steering"):
+        model, family = steering, bang5()
+        k, sigmas = (40, (None,)) if case == "steering-k40" else (15, (None, 0.2, 0.1, 0.05))
+    else:
+        model = four_state_model() if case == "four-state" else split_support_model()
+        family, k, sigmas = P.switching_family(taus=[0.5]), 8, (None, 0.1)
+    supports = (P.StageContext(model).obs_weights > 0.0).sum(axis=1)
+    if case == "four-state":
+        assert supports.tolist() == [1, 2, 3, 3, 2, 1]
+    if case == "split-support":
+        assert (P.StageContext(model).obs_weights[:, [0, 2]] > 0.0).all(axis=1).any()
+    grid = P.build_simplex_grid(model.n_states, k)
+    ctx = P.StageContext(model)
+    kernels = [None if s is None else P.RegularizationKernel("gaussian", s) for s in sigmas]
+    got = [P.BellmanSweep(model, grid, family, kernel=kern, ctx=ctx) for kern in kernels]
+    monkeypatch.setattr(solver_module, "transition_matrix", full_locator_transition_matrix)
+    for sweep, kern in zip(got, kernels):
+        assert_same_sweeps(sweep, P.BellmanSweep(model, grid, family, kernel=kern, ctx=ctx))
+
+
+class _CountingNumpy:
+    """numpy, with ``np.add.at`` appending the entries it adds to the last
+    record of ``records``."""
+
+    def __init__(self, records):
+        self.add = SimpleNamespace(at=self._at)
+        self._records = records
+
+    def _at(self, a, indices, values):
+        self._records[-1]["entries"] = np.size(indices)
+        np.add.at(a, indices, values)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_two_state_posteriors_add_a_third_fewer_entries(steering, ctx, monkeypatch):
+    # at K=40 every two-state posterior adds its two vertices, where the
+    # full locator added d = 3, one of them with weight exactly 0
+    records = []
+    locate = P.SimplexGrid.barycentric_batch
+
+    def recording(grid, probs):
+        records.append({"rows": len(probs), "states": np.count_nonzero(probs.any(axis=0))})
+        return locate(grid, probs)
+
+    monkeypatch.setattr(P.SimplexGrid, "barycentric_batch", recording)
+    monkeypatch.setattr(mdp_module, "np", _CountingNumpy(records))
+    grid = P.build_simplex_grid(3, 40)
+    family = bang5()
+    P.BellmanSweep(steering, grid, family, ctx=ctx)
+    two = [r for r in records if r["states"] == 2]
+    two_atoms = (ctx.obs_weights > 0.0).sum(axis=1) == 2
+    rows = sum(r["rows"] for r in two)
+    assert rows == sum(per_atom_posteriors(ctx, c, None, grid.points)[two_atoms].sum()
+                       for c in family) > 0
+    assert 3 * sum(r["entries"] for r in two) == 2 * (grid.dim * rows)

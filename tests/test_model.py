@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popdmp as P
+import popdmp.model as model_module
+import popdmp.sim as sim_module
+from popdmp.mdp import build_tables
 from popdmp.model import ControlPath, _index_groups, _simpson_nodes
 
 
@@ -310,6 +313,66 @@ def test_control_path_matches_a_per_point_mixture_loop(control):
                           control.piece_index_at(ts)[:, None])
     assert np.array_equal(swapped.hazard, path.hazard.T)
     assert np.array_equal(swapped.kernel_rows, path.kernel_rows.transpose(1, 0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixture_controls())
+def test_per_node_pieces_match_the_broadcast_pieces(control):
+    # pieces given per node are grouped once over the nodes, each group
+    # taken row by row; the values equal a build from the broadcast
+    # (d, n) piece array bit for bit
+    m = controlled_model()
+    ts = np.unique(np.concatenate([np.linspace(0.0, 3.0, 31), control.breaks]))
+    pos = np.stack([P.flow_path(m, y, control, ts) for y in m.post_jump_states])
+    pieces = control.piece_index_at(ts)
+    sizes = []
+
+    def recording(ids):
+        sizes.append(ids.size)
+        return _index_groups(ids)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "_index_groups", recording)
+        per_node = ControlPath(m, control, pos, pieces)
+    assert sizes == [ts.size]
+    broadcast = ControlPath(m, control, pos, np.broadcast_to(pieces, pos.shape[:-1]).copy())
+    for attr in ("hazard", "cost", "kernel_rows"):
+        assert np.array_equal(getattr(per_node, attr), getattr(broadcast, attr)), attr
+
+
+def test_an_out_of_box_control_raises_at_every_entry(steering):
+    bad = P.RelaxedControl.constant(1.5)
+    grid = P.build_simplex_grid(3, 2)
+    calls = [
+        lambda: P.flow_path(steering, [0.0], bad, [0.5]),
+        lambda: P.BellmanSweep(steering, grid, P.ControlFamily((bad,))),
+        lambda: P.evaluate_policy_mc(steering, 0.0, bad, 10, seed=1),
+        lambda: P.sample_jump(steering, 1, bad, 3),
+        lambda: P.filter_trajectory(steering, 0.0, [(bad, 0.5, [0.0])]),
+    ]
+    for call in calls:
+        with pytest.raises(P.InvalidControlError, match="outside the action box"):
+            call()
+
+
+def test_each_entry_checks_its_control_once(steering, monkeypatch):
+    # flows inside the path builds and the thinning loop take the entry's
+    # check; each entry below checks the control once, not once per flow
+    checks = []
+    check = model_module._check_actions_in_box
+    monkeypatch.setattr(model_module, "_check_actions_in_box",
+                        lambda control, box: checks.append(control) or check(control, box))
+    control = P.switch_control(1.0, 0.5)
+    entries = [
+        (lambda: build_tables(steering, control, P.StageQuadrature(t_max=2.0, h=0.05)), 1),
+        (lambda: P.lambda_path(steering, [0.0], control, [0.25, 1.0]), 1),
+        (lambda: sim_module.SimTables(steering, 1.0)._build(control), 1),
+        (lambda: [P.sample_jump(steering, 1, control, (3, i)) for i in range(5)], 5),
+    ]
+    for entry, calls in entries:
+        checks.clear()
+        entry()
+        assert checks == [control] * calls
 
 
 @given(st.lists(st.integers(0, 4), max_size=40))
