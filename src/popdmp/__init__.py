@@ -30,24 +30,16 @@ from .mdp import (
 from .model import (
     ActionMixture,
     ClosedFormFlow,
-    DiscretePolicy,
     IntegrationDivergedError,
     InvalidControlError,
     ModelValidationError,
     NoiseModel,
-    PiecewisePolicy,
     PopdmpModel,
     RelaxedControl,
     VectorField,
-    big_lambda,
-    correspondence_roundtrip,
-    discrete_to_piecewise,
-    flow,
     flow_path,
-    gamma,
     lambda_path,
     mixture_velocity,
-    piecewise_to_discrete,
 )
 from .sim import (
     CrossCheckReport,

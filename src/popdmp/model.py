@@ -24,20 +24,12 @@ __all__ = [
     "VectorField",
     "ClosedFormFlow",
     "PopdmpModel",
-    "DiscretePolicy",
-    "PiecewisePolicy",
     "IntegrationDivergedError",
     "InvalidControlError",
     "ModelValidationError",
     "mixture_velocity",
-    "flow",
     "flow_path",
-    "big_lambda",
     "lambda_path",
-    "gamma",
-    "piecewise_to_discrete",
-    "discrete_to_piecewise",
-    "correspondence_roundtrip",
 ]
 
 
@@ -196,8 +188,11 @@ class NoiseModel:
         object.__setattr__(self, "weights", w)
         if off.shape[0] != w.shape[0]:
             raise ModelValidationError("offsets and weights disagree in length")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ModelValidationError("noise weights must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(off)):
+            raise ModelValidationError("noise offsets must be finite")
+        # each check holds for every entry, so a NaN weight fails it
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
+            raise ModelValidationError("noise weights must be finite, nonnegative and sum to 1")
         if len({tuple(row) for row in off}) != off.shape[0]:
             raise ModelValidationError("noise offsets must be distinct")
         if not self.match_tol > 0:
@@ -226,9 +221,6 @@ class NoiseModel:
             out += w * hit  # branch-free: masked stores are slow on random masks
             free &= ~hit
         return out
-
-    def density_at(self, delta) -> float:
-        return float(self.density(_as_vector(delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +298,9 @@ class PopdmpModel:
         lo, hi = self.hazard_bounds
         if not (0 < lo <= hi < math.inf):
             raise ModelValidationError("hazard bounds must satisfy 0 < lower <= upper < inf")
-        if self.discount <= 0 or self.cost_max < 0:
-            raise ModelValidationError("discount must be positive, cost bound nonnegative")
+        if not (0 < self.discount < math.inf and 0 <= self.cost_max < math.inf):
+            raise ModelValidationError("discount must be positive, cost bound nonnegative, "
+                                       "both finite")
         if self.noise.dim != states.shape[1]:
             raise ModelValidationError("noise offsets and states disagree in dimension")
         self._validate_samples()
@@ -466,13 +459,6 @@ def _flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndar
     return out
 
 
-def flow(model: PopdmpModel, y, control: RelaxedControl, t: float) -> np.ndarray:
-    """Controlled flow Phi^r(y, t) as a point in R^D."""
-    if t < 0:
-        raise ValueError("flow requires t >= 0")
-    return flow_path(model, y, control, np.array([float(t)]))[0]
-
-
 def simpson_weights(n_panels: int, h: float) -> np.ndarray:
     """Composite-Simpson weights on an even number of panels of width h."""
     w = np.full(n_panels + 1, 2.0)
@@ -594,16 +580,6 @@ class ControlPath:
         )
 
 
-def big_lambda(model: PopdmpModel, y, control: RelaxedControl, t: float) -> float:
-    """Integrated mixture hazard Lambda^r(y, t) by composite Simpson."""
-    return float(_lambda_paths(model, [y], control, [float(t)])[0, 0])
-
-
-def _lambda_paths(model: PopdmpModel, starts, control: RelaxedControl, times) -> np.ndarray:
-    """Lambda^r(y, t) for each start y (rows) at each of the sorted times."""
-    return _lambda_lists(model, starts, control, [times])
-
-
 def _check_times(times) -> np.ndarray:
     """``times`` as a float array; it must be 1-d, finite, sorted and
     nonnegative."""
@@ -667,69 +643,4 @@ def _lambda_lists(model: PopdmpModel, starts, control: RelaxedControl,
 
 def lambda_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarray:
     """Lambda^r(y, t) evaluated at each of the sorted times."""
-    return _lambda_paths(model, [y], control, times)[0]
-
-
-def gamma(model: PopdmpModel, y, control: RelaxedControl, t: float) -> float:
-    """Discount-augmented hazard integral beta*t + Lambda^r(y, t)."""
-    return model.discount * float(t) + big_lambda(model, y, control, t)
-
-
-# ---------------------------------------------------------------------------
-# policies and the piecewise/discrete correspondence
-
-
-class DiscretePolicy:
-    """Stationary policy mapping a belief over the post-jump set to a
-    relaxed control applied on the next inter-jump interval."""
-
-    def __init__(self, rule: Callable[[np.ndarray], RelaxedControl]):
-        self._rule = rule
-
-    def control(self, belief) -> RelaxedControl:
-        probs = np.asarray(getattr(belief, "probs", belief), dtype=float)
-        return self._rule(probs)
-
-
-class PiecewisePolicy:
-    """Open-loop-per-stage policy: (history summary, elapsed time) -> mixture."""
-
-    def __init__(self, rule: Callable[[object, float], ActionMixture]):
-        self._rule = rule
-
-    def mixture(self, summary, elapsed: float) -> ActionMixture:
-        return self._rule(summary, elapsed)
-
-
-def piecewise_to_discrete(policy: PiecewisePolicy, summary, probe_times) -> RelaxedControl:
-    """Reconstruct a piecewise-constant relaxed control from probes.
-
-    A breakpoint is placed at every probe where the returned mixture changes,
-    so re-expanding the control reproduces the probed mixtures exactly.
-    """
-    probes = np.asarray(probe_times, dtype=float)
-    if probes.ndim != 1 or probes.size == 0 or probes[0] != 0.0 or np.any(np.diff(probes) <= 0):
-        raise ValueError("probe times must be strictly increasing and start at 0")
-    pairs: list[tuple[float, ActionMixture]] = []
-    for t in probes:
-        m = policy.mixture(summary, float(t))
-        if not pairs or m != pairs[-1][1]:
-            pairs.append((float(t), m))
-    return RelaxedControl.from_pieces(pairs)
-
-
-def discrete_to_piecewise(rule: Callable[[object], RelaxedControl]) -> PiecewisePolicy:
-    """Expand a summary -> control map back into a (summary, t) -> mixture rule."""
-    return PiecewisePolicy(lambda summary, t: rule(summary).mixture_at(t))
-
-
-def correspondence_roundtrip(policy: PiecewisePolicy, summary, probe_times):
-    """Round-trip a piecewise policy through its discrete representation.
-
-    Returns ``(control, back)`` where ``control`` is the reconstructed
-    relaxed control and ``back`` the re-expanded piecewise policy; for
-    piecewise-constant inputs both agree with the original at every probe.
-    """
-    control = piecewise_to_discrete(policy, summary, probe_times)
-    back = discrete_to_piecewise(lambda _s: control)
-    return control, back
+    return _lambda_lists(model, [y], control, [times])[0]

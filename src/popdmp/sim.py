@@ -392,22 +392,21 @@ def _policy_rule(policy) -> tuple[list[RelaxedControl], Callable[[np.ndarray], n
     rule that maps an (m, d) belief array to the candidate id of each row.
 
     A grid policy's candidates are its family, and a fixed control is the
-    one candidate.  A generic belief -> control rule (a callable, or an
-    object with a ``control`` method) gets ids in order of appearance, so
-    its list grows during a run: it is not thread-safe and runs in one chunk.
+    one candidate.  A generic belief -> control callable gets ids in order
+    of appearance, so its list grows during a run: it is not thread-safe
+    and runs in one chunk.
     """
     if isinstance(policy, GridPolicy):
         return list(policy.family), policy.candidate_indices
     if isinstance(policy, RelaxedControl):
         return [policy], lambda beliefs: np.zeros(beliefs.shape[0], dtype=np.int64)
-    rule = policy.control if hasattr(policy, "control") else policy
-    if not callable(rule):
+    if not callable(policy):
         raise TypeError(f"cannot drive simulation with policy of type {type(policy)!r}")
     controls: list[RelaxedControl] = []
     ids: dict[RelaxedControl, int] = {}
 
     def assign(beliefs: np.ndarray) -> np.ndarray:
-        ks = [ids.setdefault(rule(probs), len(ids)) for probs in beliefs]
+        ks = [ids.setdefault(policy(probs), len(ids)) for probs in beliefs]
         controls.extend(list(ids)[len(controls):])
         return np.array(ks, dtype=np.int64)
 

@@ -7,7 +7,7 @@ from scipy.integrate import trapezoid
 
 import popdmp as P
 import popdmp.filtering as F
-from popdmp.model import H_QUAD, ControlPath, _lambda_paths, flow_path, simpson_weights
+from popdmp.model import H_QUAD, ControlPath, _lambda_lists, flow_path, simpson_weights
 
 
 def simpson(fn, lo, hi, n):
@@ -369,7 +369,7 @@ def test_all_states_hazard_integral_matches_lambda_path():
         (0.0, P.ActionMixture.of([(1.0, 0.3), (-0.5, 0.7)])), (0.37, -1.0), (1.1, 0.5),
     ])
     ts = np.linspace(0.25, 1.75, 41)  # the node layout of a regularized update
-    together = _lambda_paths(m, m.post_jump_states, r, ts)
+    together = _lambda_lists(m, m.post_jump_states, r, [ts])
     for i, y in enumerate(m.post_jump_states):
         assert np.abs(together[i] - P.lambda_path(m, y, r, ts)).max() <= 1e-13
 

@@ -85,21 +85,21 @@ def test_mixture_velocity_examples():
 
 def test_flow_unit_speed(steering):
     r = P.RelaxedControl.constant(1.0)
-    assert P.flow(steering, [0.0], r, 0.5) == pytest.approx([0.5])
-    assert P.flow(steering, [-2.0], r, 0.0) == pytest.approx([-2.0])
+    assert P.flow_path(steering, [0.0], r, [0.5])[0] == pytest.approx([0.5])
+    assert P.flow_path(steering, [-2.0], r, [0.0])[0] == pytest.approx([-2.0])
 
 
 def test_flow_exponential_vs_closed_form():
     m = toy_model(b=lambda y, a: a[0] * y, box=(-1.0, 1.0))
     r = P.RelaxedControl.constant(1.0)
-    out = P.flow(m, [1.0], r, 1.0)
+    out = P.flow_path(m, [1.0], r, [1.0])[0]
     assert abs(out[0] - math.e) < 1e-6
 
 
 def test_flow_initial_condition_is_exact():
     m = toy_model(b=lambda y, a: a[0] * y)
     for y in (-1.3, 0.0, 2.7):
-        assert P.flow(m, [y], P.RelaxedControl.constant(0.5), 0.0)[0] == y
+        assert P.flow_path(m, [y], P.RelaxedControl.constant(0.5), [0.0])[0, 0] == y
 
 
 def test_flow_matches_closed_form_drift(steering):
@@ -115,7 +115,7 @@ def test_flow_matches_closed_form_drift(steering):
 def test_flow_divergence_is_an_error():
     m = toy_model(b=lambda y, a: y * y)
     with pytest.raises(P.IntegrationDivergedError):
-        P.flow(m, [2.0], P.RelaxedControl.constant(0.0), 1.0)
+        P.flow_path(m, [2.0], P.RelaxedControl.constant(0.0), [1.0])
 
 
 def test_flow_semigroup_for_constant_controls():
@@ -126,8 +126,8 @@ def test_flow_semigroup_for_constant_controls():
         a = rng.uniform(-1, 1)
         s, t = rng.uniform(0.05, 1.0, size=2)
         r = P.RelaxedControl.constant(a)
-        direct = P.flow(m, [y], r, t + s)
-        chained = P.flow(m, P.flow(m, [y], r, s), r, t)
+        direct = P.flow_path(m, [y], r, [t + s])[0]
+        chained = P.flow_path(m, P.flow_path(m, [y], r, [s])[0], r, [t])[0]
         assert np.abs(direct - chained).max() < 1e-8
 
 
@@ -142,9 +142,9 @@ def test_flow_is_continuous_in_time():
 def test_actions_outside_box_are_rejected(steering):
     bad = P.RelaxedControl.constant(1.5)
     with pytest.raises(P.InvalidControlError):
-        P.flow(steering, [0.0], bad, 1.0)
+        P.flow_path(steering, [0.0], bad, [1.0])
     with pytest.raises(P.InvalidControlError):
-        P.big_lambda(steering, [0.0], bad, 1.0)
+        P.lambda_path(steering, [0.0], bad, [1.0])
 
 
 def test_non_finite_actions_and_times_are_rejected(steering):
@@ -165,8 +165,8 @@ def test_non_finite_actions_and_times_are_rejected(steering):
 
 def test_big_lambda_constant_hazard(steering):
     r = P.RelaxedControl.constant(0.3)
-    assert P.big_lambda(steering, [0.0], r, 2.0) == pytest.approx(2.0, abs=1e-10)
-    assert P.big_lambda(steering, [0.0], r, 0.0) == 0.0
+    assert P.lambda_path(steering, [0.0], r, [2.0])[0] == pytest.approx(2.0, abs=1e-10)
+    assert P.lambda_path(steering, [0.0], r, [0.0])[0] == 0.0
 
 
 def test_big_lambda_action_dependent_hazard():
@@ -175,7 +175,7 @@ def test_big_lambda_action_dependent_hazard():
         hazard_bounds=(1.0, 2.0),
         hazard_controlled=True,
     )
-    val = P.big_lambda(m, [0.0], P.RelaxedControl.constant(1.0), 1.0)
+    val = P.lambda_path(m, [0.0], P.RelaxedControl.constant(1.0), [1.0])[0]
     assert val == pytest.approx(2.0, abs=1e-10)
 
 
@@ -187,7 +187,7 @@ def test_big_lambda_monotone_and_bounded():
     )
     r = P.RelaxedControl.from_pieces([(0.0, 1.0), (0.7, -1.0)])
     ts = np.linspace(0.0, 3.0, 13)
-    vals = [P.big_lambda(m, [0.0], r, t) for t in ts]
+    vals = [P.lambda_path(m, [0.0], r, [t])[0] for t in ts]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     for t, v in zip(ts, vals):
         assert 1.0 * t - 1e-9 <= v <= 2.0 * t + 1e-9
@@ -203,23 +203,19 @@ def test_lambda_path_consistent_with_big_lambda():
     ts = np.array([0.0, 0.3, 0.5, 1.1, 2.0])
     path = P.lambda_path(m, [0.2], r, ts)
     for t, v in zip(ts, path):
-        assert v == pytest.approx(P.big_lambda(m, [0.2], r, t), abs=1e-9)
+        assert v == pytest.approx(P.lambda_path(m, [0.2], r, [t])[0], abs=1e-9)
 
 
 def test_gamma_examples(steering):
-    r = P.RelaxedControl.constant(0.0)
-    assert P.gamma(steering, [0.0], r, 1.0) == pytest.approx(2.0, abs=1e-10)
-    assert P.gamma(steering, [0.0], r, 0.0) == 0.0
+    # the discount-augmented integral beta*t + Lambda^r(y, t)
+    def gamma(m, t):
+        return m.discount * t + P.lambda_path(m, [0.0], P.RelaxedControl.constant(0.0), [t])[0]
+
+    assert gamma(steering, 1.0) == pytest.approx(2.0, abs=1e-10)
+    assert gamma(steering, 0.0) == 0.0
     m = toy_model(hazard=lambda pts, a: np.full(pts.shape[0], 3.0),
                   hazard_bounds=(3.0, 3.0), discount=2.0)
-    assert P.gamma(m, [0.0], P.RelaxedControl.constant(0.0), 0.5) == pytest.approx(2.5, abs=1e-12)
-
-
-def test_gamma_is_exactly_discount_plus_lambda(steering):
-    r = P.RelaxedControl.from_pieces([(0.0, 1.0), (0.4, 0.0)])
-    for t in (0.25, 1.0, 3.5):
-        lam = P.big_lambda(steering, [-2.0], r, t)
-        assert P.gamma(steering, [-2.0], r, t) == steering.discount * t + lam
+    assert gamma(m, 0.5) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_controls_built_from_lists_hash_like_tuples(steering):
@@ -429,16 +425,30 @@ def test_noise_model_validation():
         P.NoiseModel(offsets=np.array([[0.0], [0.0]]), weights=np.array([0.5, 0.5]))
     with pytest.raises(P.ModelValidationError):
         P.NoiseModel(offsets=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.4]))
+    # a NaN weight used to construct, and every posterior was then dropped
+    with pytest.raises(P.ModelValidationError, match="weights must be finite"):
+        P.NoiseModel(offsets=np.array([[-1.0], [0.0], [1.0]]),
+                     weights=np.array([0.5, np.nan, 0.5]))
+    with pytest.raises(P.ModelValidationError, match="offsets must be finite"):
+        P.NoiseModel(offsets=np.array([[0.0], [np.inf]]), weights=np.array([0.5, 0.5]))
     for tol in (0.0, -1e-9, float("nan")):
         with pytest.raises(P.ModelValidationError, match="match_tol"):
             P.NoiseModel(offsets=np.array([[0.0]]), weights=np.array([1.0]), match_tol=tol)
     nm = P.NoiseModel(offsets=np.array([[-1.0], [0.0], [1.0]]), weights=np.full(3, 1 / 3))
-    assert nm.density_at([1.0]) == pytest.approx(1 / 3)
-    assert nm.density_at([0.5]) == 0.0
+    assert nm.density([1.0]) == pytest.approx(1 / 3)
+    assert nm.density([0.5]) == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("discount", np.nan), ("discount", np.inf), ("cost_max", np.nan), ("cost_max", np.inf),
+])
+def test_non_finite_model_constants_are_rejected(field, value):
+    with pytest.raises(P.ModelValidationError, match="finite"):
+        dataclasses.replace(P.particle_steering_model(), **{field: value})
 
 
 def test_noise_density_matches_the_scalar_rule():
-    # the vectorized rule against a per-delta density_at loop and a naive
+    # the vectorized rule against a per-delta loop and a naive
     # reading of the documented rule: the first offset within
     # match_tol * (1 + max|delta|) in every coordinate
     rng = np.random.default_rng(8)
@@ -464,7 +474,7 @@ def test_noise_density_matches_the_scalar_rule():
 
     got = nm.density(deltas)
     assert got.shape == deltas.shape[:-1]
-    loop = np.array([[nm.density_at(dl) for dl in row] for row in deltas])
+    loop = np.array([[nm.density(dl) for dl in row] for row in deltas])
     ref = np.array([[naive(dl) for dl in row] for row in deltas])
     assert np.array_equal(got, loop) and np.array_equal(got, ref)
     assert np.all(got[:2] > 0.0) and np.all(got[2] == 0.0)
@@ -476,40 +486,3 @@ def test_noise_density_matches_the_scalar_rule():
 def test_distinct_states_required():
     with pytest.raises(P.ModelValidationError):
         toy_model(states=(0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# policy correspondence
-
-
-def test_roundtrip_constant_policy():
-    pol = P.PiecewisePolicy(lambda summary, t: P.ActionMixture.dirac(1.0))
-    probes = np.linspace(0.0, 3.0, 31)
-    control, back = P.correspondence_roundtrip(pol, None, probes)
-    assert control.breaks == ()
-    for t in probes:
-        assert back.mixture(None, t) == pol.mixture(None, t)
-
-
-def test_roundtrip_single_switch_policy():
-    def rule(summary, t):
-        return P.ActionMixture.dirac(1.0 if t <= 0.5 else 0.0)
-
-    pol = P.PiecewisePolicy(rule)
-    probes = np.linspace(0.0, 2.0, 41)
-    control, back = P.correspondence_roundtrip(pol, None, probes)
-    for t in probes:
-        assert back.mixture(None, t) == pol.mixture(None, t)
-
-
-def test_roundtrip_random_three_piece_control():
-    rng = np.random.default_rng(4)
-    breaks = np.sort(rng.uniform(0.2, 1.8, size=2))
-    mixes = [P.ActionMixture.dirac(rng.uniform(-1, 1)) for _ in range(3)]
-    source = P.RelaxedControl(pieces=tuple(mixes), breaks=tuple(breaks))
-    pol = P.PiecewisePolicy(lambda summary, t: source.mixture_at(t))
-    probes = np.unique(np.concatenate([np.linspace(0, 2.5, 26), breaks]))
-    control, back = P.correspondence_roundtrip(pol, None, probes)
-    assert control.pieces == source.pieces
-    for t in probes:
-        assert back.mixture(None, t) == source.mixture_at(t)

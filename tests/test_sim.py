@@ -283,7 +283,9 @@ def test_single_run_reproducibility(steering):
 def test_generic_belief_policy_drives_the_engine(steering):
     # a stationary rule supplied as a plain belief -> control map works like
     # the equivalent fixed control
-    rule = P.DiscretePolicy(lambda probs: P.RelaxedControl.constant(0.0))
+    def rule(probs):
+        return P.RelaxedControl.constant(0.0)
+
     via_rule = P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19)
     via_control = P.evaluate_policy_mc(steering, -2.0, P.RelaxedControl.constant(0.0),
                                        50, seed=19)
@@ -292,8 +294,7 @@ def test_generic_belief_policy_drives_the_engine(steering):
     def two_sided(probs):
         return P.switch_control(1.0 if probs[0] >= probs[2] else -1.0, 0.5)
 
-    traj = P.simulate_trajectory(steering, -2.0, P.DiscretePolicy(two_sided),
-                                 P.RngStream(77, 0))
+    traj = P.simulate_trajectory(steering, -2.0, two_sided, P.RngStream(77, 0))
     assert traj.total_cost >= 0.0
     assert traj.controls[0].pieces[0].actions == ((1.0,),)
 
@@ -388,7 +389,9 @@ def test_more_threads_than_cores_under_fast_switching_match_one(pinned_runs):
 
 
 def test_workers_with_a_callable_policy_warn_and_run_single_threaded(steering):
-    rule = P.DiscretePolicy(lambda probs: P.RelaxedControl.constant(0.0))
+    def rule(probs):
+        return P.RelaxedControl.constant(0.0)
+
     with pytest.warns(RuntimeWarning, match="workers=2 ignored"):
         many = P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19, workers=2)
     # the default, one worker per usable core, resolves to one without a warning
@@ -551,7 +554,7 @@ def test_simulator_raises_on_an_impossible_observation():
     # the simulator matches through NoiseModel.density, the filter's rule
     delta = np.array([[(2.0 + 0.3) - 2.0], [(2.0 - 0.1) - 2.0], [0.0]])
     expected = [0.0, 0.0, 1 / 3]
-    assert m.noise.density(delta).tolist() == [m.noise.density_at(v) for v in delta] == expected
+    assert m.noise.density(delta).tolist() == [m.noise.density(v) for v in delta] == expected
     assert dataclasses.replace(m.noise, match_tol=1e-9).density(delta).tolist() == [1 / 3] * 3
 
 
