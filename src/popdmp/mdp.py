@@ -172,8 +172,6 @@ def build_tables(model: PopdmpModel, control: RelaxedControl,
     path = ControlPath.from_post_jump_states(model, control, ts)
     lam_int = cumulative_simpson(path.hazard, dx=float(ts[1] - ts[0]), axis=1, initial=0.0)
     egamma = np.exp(-model.discount * ts[None, :] - lam_int)
-    if not np.all(np.isfinite(egamma)):
-        raise FloatingPointError("non-finite discount factors in stage tables")
     dmat = np.ascontiguousarray((egamma[:, :, None] * path.kernel_rows).transpose(0, 2, 1))
     g = (W[None, :] * egamma * path.cost).sum(axis=1)
     factors = np.concatenate([egamma / egamma.max(axis=0),

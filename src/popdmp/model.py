@@ -289,8 +289,8 @@ class PopdmpModel:
         object.__setattr__(self, "post_jump_states", states)
         box = np.atleast_2d(np.asarray(self.action_box, dtype=float))
         object.__setattr__(self, "action_box", box)
-        if box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
-            raise ModelValidationError("action box rows must be (lower, upper) intervals")
+        if box.shape[1] != 2 or not (np.isfinite(box).all() and np.all(box[:, 0] <= box[:, 1])):
+            raise ModelValidationError("action box rows must be finite (lower, upper) intervals")
         if states.shape[0] < 1:
             raise ModelValidationError("need at least one post-jump state")
         if len({tuple(row) for row in states}) != states.shape[0]:
@@ -364,24 +364,14 @@ class PopdmpModel:
 
     def _validate_samples(self) -> None:
         pos = self._sample_positions()
-        lo, hi = self.hazard_bounds
         seen = None  # hazard and kernel rows at the first sample action
-        # each check holds for every entry, so a NaN fails it
         for a in self._sample_actions():
-            lam = np.asarray(self.hazard(pos, a), dtype=float)
-            if not np.all((lam >= lo - _BOUND_TOL) & (lam <= hi + _BOUND_TOL)):
-                raise ModelValidationError("hazard leaves its declared bounds on the test grid")
-            c = np.asarray(self.cost_rate(pos, a), dtype=float)
-            if not np.all((c >= -1e-12) & (c <= self.cost_max + _BOUND_TOL)):
-                raise ModelValidationError("cost rate leaves [0, cost_max] on the test grid")
-            rows = np.asarray(self.jump_kernel(pos, a), dtype=float)
-            if rows.shape != (pos.shape[0], self.n_states):
-                raise ModelValidationError("jump kernel returned a wrongly shaped row block")
-            if not (np.all(rows >= -1e-12) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)):
-                raise ModelValidationError("jump kernel rows must be probabilities summing to 1")
+            lam = _local(self, "hazard", pos, a)
+            _local(self, "cost_rate", pos, a)
+            rows = _local(self, "jump_kernel", pos, a)
             seen = seen or (lam, rows)
             if not self.hazard_controlled and not all(
-                    np.array_equal(u, v, equal_nan=True) for u, v in zip((lam, rows), seen)):
+                    np.array_equal(u, v) for u, v in zip((lam, rows), seen)):
                 raise ModelValidationError("hazard or jump kernel depends on the action; "
                                            "declare hazard_controlled=True")
         for y in self.post_jump_states:
@@ -401,6 +391,29 @@ def _state_number(model: PopdmpModel, y) -> int:
             raise IndexError(f"state index {i} out of range")
         return i
     return model.state_index(y)
+
+
+def _local(model: PopdmpModel, name: str, points: np.ndarray, action) -> np.ndarray:
+    """``model.<name>(points, action)`` as floats, for ``name`` one of
+    ``hazard``, ``cost_rate`` and ``jump_kernel``: the one place they are
+    evaluated, each checked against the model's bounds by reductions, which
+    propagate a NaN.  A failure raises ``ModelValidationError``."""
+    out = np.asarray(getattr(model, name)(points, action), dtype=float)
+    if name == "jump_kernel":
+        if out.shape != (len(points), model.n_states):
+            raise ModelValidationError(f"jump kernel returned a block of shape {out.shape}")
+        sums = out @ np.ones(model.n_states)
+        # max |sums - 1| <= 1e-12 bit for bit, as sums - 1 is exact near 1
+        if not (out.min(initial=0.0) >= -1e-12 and sums.max(initial=1.0) - 1.0 <= 1e-12
+                and 1.0 - sums.min(initial=1.0) <= 1e-12):
+            raise ModelValidationError("jump kernel rows are NaN or not probabilities summing to 1")
+        return out
+    lo, hi = model.hazard_bounds if name == "hazard" else (0.0, model.cost_max)
+    if not (out.min(initial=lo) >= lo - (_BOUND_TOL if name == "hazard" else 1e-12)
+            and out.max(initial=hi) <= hi + _BOUND_TOL):
+        raise ModelValidationError(f"{name.replace('_', ' ')} is NaN or leaves its declared "
+                                   f"bounds [{lo}, {hi}]: it spans [{out.min()}, {out.max()}]")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +568,7 @@ class ControlPath:
 
     @cached_property
     def _atom_hazards(self) -> list[np.ndarray]:
-        return [np.asarray(self.model.hazard(pts, a), dtype=float) for _, pts, a, _ in self._atoms]
+        return [_local(self.model, "hazard", pts, a) for _, pts, a, _ in self._atoms]
 
     @cached_property
     def hazard(self) -> np.ndarray:
@@ -566,15 +579,14 @@ class ControlPath:
     @cached_property
     def cost(self) -> np.ndarray:
         return self._sum_over_atoms(
-            w * np.asarray(self.model.cost_rate(pts, a), dtype=float)
-            for _, pts, a, w in self._atoms
+            w * _local(self.model, "cost_rate", pts, a) for _, pts, a, w in self._atoms
         )
 
     @cached_property
     def kernel_rows(self) -> np.ndarray:
         """sum over atoms of w * hazard * jump-kernel row."""
         return self._sum_over_atoms(
-            ((w * lam)[:, None] * np.asarray(self.model.jump_kernel(pts, a), dtype=float)
+            ((w * lam)[:, None] * _local(self.model, "jump_kernel", pts, a)
              for (_, pts, a, w), lam in zip(self._atoms, self._atom_hazards)),
             tail=(self.model.n_states,),
         )

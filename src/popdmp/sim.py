@@ -6,9 +6,9 @@ mixture active at the proposal time, and accept with probability
 hazard(position, action) / bound.  Drawing the atom before the acceptance
 test makes the accepted (time, action) pair follow the hazard-weighted law
 that the transition density prescribes, and reduces to plain thinning when
-the hazard ignores the action.  A proposal whose hazard exceeds the bound,
-or is NaN, raises ModelValidationError, because thinning would silently clip
-or reject it.
+the hazard ignores the action.  Every hazard and kernel evaluation is
+checked against the model's contract (``model._local``), so a hazard above
+the bound, which thinning would silently clip, raises ModelValidationError.
 
 Reproducibility contract: trajectory ``i`` of a run with master seed ``s``
 consumes uniforms from ``PCG64(SeedSequence((s, i)))`` in a fixed order
@@ -44,8 +44,8 @@ from scipy.integrate import cumulative_simpson
 
 from .filtering import _DENOM_FLOOR, Belief, ImpossibleObservationError, initial_belief
 from .grid import ValueGrid, interpolate
-from .model import (_BOUND_TOL, ClosedFormFlow, ControlPath, ModelValidationError, PopdmpModel,
-                    RelaxedControl, _flow_path, _index_groups)
+from .model import (ClosedFormFlow, ControlPath, PopdmpModel, RelaxedControl, _flow_path,
+                    _index_groups, _local)
 from .solver import BellmanSweep, GridPolicy
 
 __all__ = [
@@ -446,15 +446,6 @@ def _rowwise_inverse_cdf(cums: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cums.shape[1] - 1)
 
 
-def _check_hazard_bound(model: PopdmpModel, rate) -> None:
-    """Thinning against the declared upper bound is exact only below it; a
-    NaN rate fails the check too."""
-    if not np.all(np.asarray(rate) <= model.hazard_bounds[1] + _BOUND_TOL):
-        raise ModelValidationError(
-            f"hazard {np.max(rate)!r} at a thinning proposal is NaN or exceeds its declared "
-            "upper bound")
-
-
 def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
                     y0: int | None = None, max_jumps: int | None = None,
                     record: bool = False) -> _BatchResult:
@@ -520,8 +511,7 @@ def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
                     atom[g] = tb.atom_first[pc] + _inverse_cdf(tb.atom_cums[pc], u2[g])
                 rate = np.empty(live.size)
                 for a, asel in _index_groups(atom):
-                    rate[asel] = np.asarray(model.hazard(pos[asel], tb.atom_actions[a]), dtype=float)
-                _check_hazard_bound(model, rate)
+                    rate[asel] = _local(model, "hazard", pos[asel], tb.atom_actions[a])
                 ok = u3 * lam_bar <= rate
                 hit = live[ok]
                 pend[hit] = False
@@ -553,7 +543,7 @@ def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
             y_next = np.empty(jumped.size, dtype=np.int64)
             atoms = atom_acc[accepted]
             for a, g in _index_groups(atoms):
-                rows_k = np.asarray(model.jump_kernel(pos_j[g], tb.atom_actions[a]), dtype=float)
+                rows_k = _local(model, "jump_kernel", pos_j[g], tb.atom_actions[a])
                 y_next[g] = _rowwise_inverse_cdf(np.cumsum(rows_k, axis=1), u4[g])
             eps_idx = _inverse_cdf(noise_cum, u5)
             x = tables.emitted[y_next, eps_idx]
@@ -634,11 +624,10 @@ def sample_jump(model: PopdmpModel, y, control: RelaxedControl, rng):
         aidx = int(_inverse_cdf(np.cumsum(mix.weights), np.array([gen.random()]))[0])
         av = np.asarray(mix.actions[aidx], dtype=float)
         pos = _flow_path(model, y_pt, control, np.array([t]))[0]
-        lam = float(np.asarray(model.hazard(pos[None, :], av), dtype=float)[0])
-        _check_hazard_bound(model, lam)
+        lam = float(_local(model, "hazard", pos[None, :], av)[0])
         if gen.random() * lam_bar <= lam:
             break
-    rows = np.asarray(model.jump_kernel(pos[None, :], av), dtype=float)[0]
+    rows = _local(model, "jump_kernel", pos[None, :], av)[0]
     y_next = int(_inverse_cdf(np.cumsum(rows), np.array([gen.random()]))[0])
     eps = model.noise.offsets[int(_inverse_cdf(np.cumsum(model.noise.weights),
                                                np.array([gen.random()]))[0])]

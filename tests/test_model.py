@@ -401,11 +401,13 @@ def test_hazard_must_stay_in_declared_bounds():
         toy_model(hazard=lambda pts, a: np.full(pts.shape[0], 3.0), hazard_bounds=(1.0, 2.0))
 
 
-def nan_beyond(fn, limit):
-    """``fn`` with NaN in the rows of points beyond |y| > limit."""
+def beyond(fn, limit, change=lambda v: np.nan):
+    """``fn`` with its rows at points beyond |y| > limit replaced by
+    ``change(rows)`` (NaN by default)."""
     def wrapped(pts, a):
         out = np.array(fn(pts, a), dtype=float)
-        out[np.abs(pts[:, 0]) > limit] = np.nan
+        far = np.abs(pts[:, 0]) > limit
+        out[far] = change(out[far])
         return out
     return wrapped
 
@@ -417,7 +419,48 @@ def test_nan_local_characteristics_fail_validation(field, what):
     # false for a NaN, so such a model constructed
     steering = P.particle_steering_model()
     with pytest.raises(P.ModelValidationError, match=what):
-        dataclasses.replace(steering, **{field: nan_beyond(getattr(steering, field), 3.0)})
+        dataclasses.replace(steering, **{field: beyond(getattr(steering, field), 3.0)})
+
+
+@pytest.mark.parametrize("field, what, change", [
+    ("hazard", "hazard", lambda v: 3.0),
+    ("hazard", "hazard", lambda v: np.nan),
+    ("jump_kernel", "jump kernel", lambda v: np.nan),
+    ("jump_kernel", "jump kernel", lambda v: 0.9 * v),
+    ("cost_rate", "cost rate", lambda v: 50.0),
+], ids=["hazard-above-bound", "nan-hazard", "nan-kernel-rows", "kernel-rows-sum-to-0.9",
+        "cost-above-bound"])
+def test_every_consumer_refuses_a_model_that_breaks_its_contract(field, what, change):
+    # the fault sits at |y| > 5, past the sample positions (|y| <= 4), so the
+    # model constructs; every consumer that evaluates the faulty
+    # characteristic must raise naming it, since running on would bias its
+    # result (or, for NaN kernel rows, blame the observation) without a word
+    steering = P.particle_steering_model()
+    m = dataclasses.replace(steering, **{field: beyond(getattr(steering, field), 5.0, change)})
+    right = P.RelaxedControl.constant(1.0)
+    consumers = [
+        lambda: P.BellmanSweep(m, P.build_simplex_grid(3, 4), P.switching_family(taus=[0.5])),
+        lambda: P.evaluate_policy_mc(m, 0.0, right, n_traj=500, seed=3),
+    ]
+    if field != "cost_rate":
+        consumers += [
+            lambda: P.filter_trajectory(m, 2.0, [(right, 6.0, 2.0)]),
+            lambda: P.update(m, [0.0, 0.0, 1.0], right, 6.0, 2.0),
+            lambda: [P.sample_jump(m, 2, right, P.RngStream(5, i)) for i in range(50)],
+        ]
+    for consumer in consumers:
+        with pytest.raises(P.ModelValidationError, match=what) as err:
+            consumer()
+        assert "NaN" in str(err.value)
+
+
+@pytest.mark.parametrize("box", [[[np.nan, 1.0]], [[-1.0, np.nan]], [[-np.inf, 1.0]],
+                                 [[-1.0, np.inf]], [[np.inf, 1.0]], [[-1.0, -np.inf]]])
+def test_the_action_box_must_be_finite(box):
+    # the action space is compact; against a NaN bound check_control would
+    # accept any action on that side
+    with pytest.raises(P.ModelValidationError, match="action box"):
+        dataclasses.replace(P.particle_steering_model(), action_box=box)
 
 
 def test_noise_model_validation():

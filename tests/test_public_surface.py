@@ -1,8 +1,10 @@
 """The library's public surface still holds every name the benchmark under
 ``perfbench/`` wraps or calls.  The benchmark only warns when a traced name
 is missing (the metric then reads zero), so a cut that removes one fails
-here instead.  ``perfbench`` is read, never edited."""
+here instead.  ``perfbench`` is read, never edited.  The surface through which
+the library calls a model's local characteristics stays one function."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -14,6 +16,7 @@ import pytest
 import popdmp as P
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(P.__file__).resolve().parent
 
 
 def _spans():
@@ -48,3 +51,20 @@ def test_every_module_exports_what_it_lists(name):
     mod = importlib.import_module(f"popdmp.{name}")
     listed = getattr(mod, "__all__", [])
     assert sorted(n for n in listed if not hasattr(mod, n)) == []
+
+
+def test_only_the_checked_evaluator_calls_the_local_characteristics():
+    # every evaluation of a model's hazard, jump kernel and cost rate goes
+    # through model._local, which checks it against the model's contract;
+    # a direct call elsewhere would bypass the check
+    names = {"hazard", "jump_kernel", "cost_rate"}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        evaluator = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_local"]
+        allowed = {id(n) for f in evaluator for n in ast.walk(f)}
+        calls += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and id(n) not in allowed
+                  and (isinstance(n.func, ast.Attribute) and n.func.attr in names
+                       or isinstance(n.func, ast.Call) and getattr(n.func.func, "id", "") == "getattr")]
+    assert calls == []

@@ -163,22 +163,6 @@ def test_engine_first_jump_has_the_law_of_sample_jump(steering):
     assert stats.chi2_contingency(table).pvalue > 1e-3
 
 
-def test_a_nan_normalizer_counts_as_zero_likelihood(steering):
-    # kernel rows that turn NaN far out, beyond the model's validation sample
-    # points; a NaN normalizer must raise like a zero one, in the filter and
-    # in the engine, instead of leaving NaN beliefs behind
-    def kernel(pts, a):
-        rows = steering.jump_kernel(pts, a)
-        rows[np.abs(pts[:, 0]) > 4.5] = np.nan
-        return rows
-
-    m = dataclasses.replace(steering, jump_kernel=kernel)
-    with pytest.raises(P.ImpossibleObservationError):
-        P.update(m, [0.0, 0.0, 1.0], P.RelaxedControl.constant(1.0), 3.0, 2.0)
-    with pytest.raises(P.ImpossibleObservationError):
-        P.evaluate_policy_mc(m, 2.0, P.RelaxedControl.constant(1.0), 500, seed=3)
-
-
 def test_interjump_times_are_unit_exponential(steering):
     ss, _, _, _ = P.sample_first_jumps(steering, P.RelaxedControl.constant(0.5),
                                        40_000, seed=21, y0=1)
