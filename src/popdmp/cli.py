@@ -516,14 +516,8 @@ def filter_cmd(cfg: RunConfig, out: Path, events_path, x0):
     try:
         with open(events_path) as fh:
             for row in csv.DictReader(fh):
-                control = parse_control(row["r_piece_spec"])
-                model.check_control(control)  # InvalidControlError is a ValueError
-                s, x = float(row["s"]), float(row["x"])
-                if not 0.0 < s < math.inf:
-                    raise ValueError("inter-jump time s must be positive and finite")
-                if not math.isfinite(x):
-                    raise ValueError("observation x must be finite")
-                events.append((control, s, x))
+                events.append((parse_control(row["r_piece_spec"]), float(row["s"]),
+                               float(row["x"])))
     # events holds the rows before the bad one; a short row reads None (TypeError)
     except (KeyError, TypeError, ValueError, ConfigError) as err:
         raise ConfigError(f"bad event log {events_path}: event {len(events)}: {err}") from None
@@ -531,7 +525,7 @@ def filter_cmd(cfg: RunConfig, out: Path, events_path, x0):
     _check_observation(model, x0_val, "sim.x0" if x0 is None else "--x0")
     try:
         beliefs = filter_trajectory(model, x0_val, events, kernel=cfg.kernel())
-    except ImpossibleObservationError as err:
+    except ValueError as err:  # the first event that fails a check, in log order
         raise ConfigError(f"event log {events_path}: {err}") from None
     write_csv(out / "beliefs.csv", ["step"] + [f"mu_{i + 1}" for i in range(model.n_states)],
               ([str(n)] + [_fmt(p) for p in b.probs] for n, b in enumerate(beliefs)))

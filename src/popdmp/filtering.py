@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (H_QUAD, ControlPath, PopdmpModel, RelaxedControl, _check_times,
-                    _lambda_lists, _state_number, simpson_weights)
+from .model import (H_QUAD, ControlPath, PopdmpModel, RelaxedControl, _lambda_lists,
+                    _state_number, simpson_weights)
 
 __all__ = [
     "Belief",
@@ -75,14 +75,23 @@ def as_belief(value, d: int | None = None) -> Belief:
     return b
 
 
+def _observation(model: PopdmpModel, x) -> np.ndarray:
+    """Every observation the filter reads, as a flat vector of the model's
+    dimension (a scalar is a 1-vector); a non-finite one is impossible."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.shape != (model.space_dim,):
+        raise ValueError(f"observation {x!r} is not a flat vector of dimension {model.space_dim}")
+    if not np.all(np.isfinite(v)):
+        raise ImpossibleObservationError(f"observation {v} is not finite")
+    return v
+
+
 def initial_belief(model: PopdmpModel, x0) -> Belief:
     """mu_0 = Q_0(.|x0), where the filter and the simulator start: a length-d
-    Belief, so a kernel output outside its 1e-8 window raises ValueError; a
-    non-finite observation, or one that no post-jump state can emit, raises
-    ImpossibleObservationError, whatever the initial kernel."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ImpossibleObservationError(f"observation {x} is not finite")
+    Belief, so a kernel output outside its 1e-8 window, like an observation
+    of the wrong shape, raises ValueError; a non-finite observation, or one
+    no state can emit whatever Q_0, raises ImpossibleObservationError."""
+    x = _observation(model, x0)
     if not np.any(model.noise.density(x - model.post_jump_states) > 0.0):
         raise ImpossibleObservationError(f"observation {x} is unreachable: no state explains it")
     return as_belief(model.initial_kernel(x), model.n_states)
@@ -144,9 +153,12 @@ class _Event:
 
 def _event(model: PopdmpModel, n: int, control: RelaxedControl, s: float, x,
            kernel: RegularizationKernel | None) -> _Event:
-    """The update's inputs, checked in the order a lone update meets them."""
+    """The update's inputs; checks s (finite, >= 0), the control, the observation."""
+    s = float(s)
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"inter-jump time s={s} must be finite and nonnegative")
     if kernel is None:
-        times, coeff = np.array([float(s)]), None
+        times, coeff = np.array([s]), None
     else:
         w = kernel.halfwidth
         lo, hi = max(0.0, s - w), s + w
@@ -154,9 +166,8 @@ def _event(model: PopdmpModel, n: int, control: RelaxedControl, s: float, x,
         npan = max(8, 2 * math.ceil((hi - lo) / (2.0 * step)))
         times = np.linspace(lo, hi, npan + 1)
         coeff = simpson_weights(npan, (hi - lo) / npan) * kernel.density(s - times)
-    _check_times(times)
     model.check_control(control)
-    noise = model.noise.density(np.asarray(x, dtype=float) - model.post_jump_states)
+    noise = model.noise.density(_observation(model, x) - model.post_jump_states)
     return _Event(n, control, s, x, times, coeff, noise)
 
 
@@ -196,8 +207,6 @@ def _filled(model: PopdmpModel, control: RelaxedControl, s: float, x,
 def q_tilde(model: PopdmpModel, s: float, y_next, x, y, control: RelaxedControl) -> float:
     """Joint density of (jump time, next state, observation) with the
     discount absorbed; zero whenever x - y_next is not a noise offset."""
-    if s < 0:
-        raise ValueError("q_tilde requires s >= 0")
     i = _state_number(model, y)
     j = _state_number(model, y_next)
     return float(_filled(model, control, s, x, None).mats[0, i, j])
@@ -205,8 +214,6 @@ def q_tilde(model: PopdmpModel, s: float, y_next, x, y, control: RelaxedControl)
 
 def q_tilde_sx(model: PopdmpModel, s: float, x, y, control: RelaxedControl) -> float:
     """Marginal density over next states: sum_j q_tilde(s, y_j, x | y, r)."""
-    if s < 0:
-        raise ValueError("q_tilde_sx requires s >= 0")
     i = _state_number(model, y)
     return float(_filled(model, control, s, x, None).mats[0, i, :].sum())
 
@@ -235,8 +242,6 @@ def _bayes(probs: np.ndarray, ev: _Event) -> Belief:
 def update(model: PopdmpModel, rho, control: RelaxedControl, s: float, x) -> Belief:
     """One-step Bayes update of the belief given (control, jump time,
     observation)."""
-    if s < 0:
-        raise ValueError("update requires s >= 0")
     return _bayes(as_belief(rho, model.n_states).probs, _filled(model, control, s, x, None))
 
 
@@ -248,8 +253,6 @@ def update_regularized(model: PopdmpModel, rho, control: RelaxedControl, s: floa
     u in [max(0, s - w), s + w] by composite Simpson, w the kernel support
     halfwidth.
     """
-    if s < 0:
-        raise ValueError("update_regularized requires s >= 0")
     return _bayes(as_belief(rho, model.n_states).probs, _filled(model, control, s, x, kernel))
 
 
@@ -258,29 +261,30 @@ def _filled_events(model: PopdmpModel, events, kernel: RegularizationKernel | No
 
     A block takes events until their quadrature nodes reach _NODE_BUDGET
     (at least one), so memory does not grow with the log, and gets one
-    batched pass per control.  An event that fails its checks ends its
-    block and raises once the events before it are yielded, so errors
-    come in log order.
+    batched pass per control.  An event that fails a check (a logged time
+    must be positive) ends its block and raises, as ``event n: ...``, once
+    the events before it are yielded, so errors come in log order.
     """
     it = enumerate(events)
     more = True
     while more:
         block, nodes, failure, more = [], 0.0, None, False
-        try:
-            for n, (control, s, x) in it:
+        for n, (control, s, x) in it:
+            try:
                 if s <= 0:
-                    raise ValueError(f"event {n}: inter-jump time must be positive")
-                block.append(_event(model, n, control, float(s), x, kernel))
-                nodes += block[-1].nodes
-                if nodes >= _NODE_BUDGET:
-                    more = True
-                    break
-        except Exception as err:  # not handled: raised after the events before it
-            failure = err
+                    raise ValueError("inter-jump time must be positive")
+                block.append(_event(model, n, control, s, x, kernel))
+            except (TypeError, ValueError) as err:
+                failure = type(err)(f"event {n}: {err}")
+                break
+            nodes += block[-1].nodes
+            if nodes >= _NODE_BUDGET:
+                more = True
+                break
         _fill_qtilde(model, block)
         yield from block
         if failure is not None:
-            raise failure
+            raise failure from None
 
 
 def filter_trajectory(model: PopdmpModel, x0, events,
@@ -290,9 +294,9 @@ def filter_trajectory(model: PopdmpModel, x0, events,
     ``events`` is a sequence of (control, inter-jump time, observation)
     triples; ``mu_0 = Q_0(.|x0)``.  Every belief equals the one ``update``
     (or ``update_regularized``) gives from the previous one, but q-tilde is
-    computed for a block of events at a time, one pass per control.  A
-    zero-likelihood observation raises ImpossibleObservationError tagged
-    with the event index.
+    computed for a block of events at a time, one pass per control.  The
+    first event, in log order, that fails a check or has zero likelihood
+    raises its error, of the same type, tagged ``event n:``.
     """
     mu = initial_belief(model, x0)
     out = [mu]

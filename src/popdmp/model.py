@@ -237,8 +237,8 @@ class VectorField:
 
 @dataclass(frozen=True)
 class ClosedFormFlow:
-    """Controlled drift given directly as its flow map: ``path(y, r, times)``
-    returns the flow from y under r at each of the sorted times, (n, D)."""
+    """Controlled drift given as its flow map: ``path(y, r, times)`` is the
+    flow from y under r at each time, elementwise in t and in any order, (n, D)."""
 
     path: Callable[[np.ndarray, RelaxedControl, np.ndarray], np.ndarray]
 
@@ -420,8 +420,19 @@ def _local(model: PopdmpModel, name: str, points: np.ndarray, action) -> np.ndar
 # flow, local characteristics, hazard integral
 
 
+def _check_times(times) -> np.ndarray:
+    """``times`` as a float array; it must be 1-d, finite, sorted and
+    nonnegative."""
+    ts = np.asarray(times, dtype=float)
+    # every comparison with a NaN is false, and an inf is last if anywhere
+    if ts.ndim != 1 or ts.size and not (ts[0] >= 0 and np.all(np.diff(ts) >= 0)
+                                        and math.isfinite(ts[-1])):
+        raise ValueError("times must be a 1-d array, finite, sorted and nonnegative")
+    return ts
+
+
 def flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarray:
-    """Controlled flow evaluated along sorted times >= 0; returns (n, D).
+    """Controlled flow evaluated along finite, sorted times >= 0; returns (n, D).
 
     Closed-form drifts are evaluated directly.  Vector fields are integrated
     with fixed-step RK4 (step <= H_ODE), restarting at control
@@ -431,17 +442,22 @@ def flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarr
     return _flow_path(model, y, control, times)
 
 
+def _closed_form_path(model: PopdmpModel, y, control: RelaxedControl, t) -> np.ndarray:
+    """The closed-form flow from the vector ``y`` at the times ``t``, in any
+    order, as a float (n, D) array: the one place ``ClosedFormFlow.path`` is
+    called.  A non-finite value raises IntegrationDivergedError."""
+    out = np.asarray(model.drift.path(y, control, t), dtype=float).reshape(t.size, y.size)
+    if not np.all(np.isfinite(out)):
+        raise IntegrationDivergedError("closed-form flow produced non-finite values")
+    return out
+
+
 def _flow_path(model: PopdmpModel, y, control: RelaxedControl, times) -> np.ndarray:
     """``flow_path`` for a control its caller has checked."""
     y = _as_vector(y)
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or (t.size and (t[0] < 0 or np.any(np.diff(t) < 0))):
-        raise ValueError("times must be a sorted, nonnegative 1-d array")
+    t = _check_times(times)
     if isinstance(model.drift, ClosedFormFlow):
-        out = np.asarray(model.drift.path(y, control, t), dtype=float).reshape(t.size, y.size)
-        if not np.all(np.isfinite(out)):
-            raise IntegrationDivergedError("closed-form flow produced non-finite values")
-        return out
+        return _closed_form_path(model, y, control, t)
 
     field = model.drift
     # knots: requested times plus breakpoints falling strictly inside the range
@@ -590,18 +606,6 @@ class ControlPath:
              for (_, pts, a, w), lam in zip(self._atoms, self._atom_hazards)),
             tail=(self.model.n_states,),
         )
-
-
-def _check_times(times) -> np.ndarray:
-    """``times`` as a float array; it must be 1-d, finite, sorted and
-    nonnegative."""
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError("times must be 1-d")
-    # every comparison with a NaN is false, and an inf is last if anywhere
-    if ts.size and not (ts[0] >= 0 and np.all(np.diff(ts) >= 0) and math.isfinite(ts[-1])):
-        raise ValueError("times must be finite, sorted and nonnegative")
-    return ts
 
 
 def _lambda_lists(model: PopdmpModel, starts, control: RelaxedControl,

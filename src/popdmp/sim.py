@@ -44,8 +44,8 @@ from scipy.integrate import cumulative_simpson
 
 from .filtering import _DENOM_FLOOR, Belief, ImpossibleObservationError, initial_belief
 from .grid import ValueGrid, interpolate
-from .model import (ClosedFormFlow, ControlPath, PopdmpModel, RelaxedControl, _flow_path,
-                    _index_groups, _local)
+from .model import (ClosedFormFlow, ControlPath, PopdmpModel, RelaxedControl, _closed_form_path,
+                    _flow_path, _index_groups, _local, _state_number)
 from .solver import BellmanSweep, GridPolicy
 
 __all__ = [
@@ -212,7 +212,7 @@ class SimTables:
         (m, d, D); exact for a closed-form flow."""
         if tb.positions is not None:
             return self.lerp(tb.positions, s)
-        return np.stack([self.model.drift.path(y, tb.control, s)
+        return np.stack([_closed_form_path(self.model, y, tb.control, s)
                          for y in self.model.post_jump_states], axis=1)
 
 
@@ -230,6 +230,8 @@ _XSHIFT = 16
 _POOL_SIZE = 4
 _MULT_HI, _MULT_LO = 2549297995355413924, 4865540595714422341
 _MULT_LO0, _MULT_LO1 = _MULT_LO & _MASK32, _MULT_LO >> 32
+# draws a stream bank row holds at a time
+_BANK_BLOCK = 16
 
 
 def _uint32_words(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -339,26 +341,25 @@ class _StreamBank:
     state is seeded by ``_pcg64_seed``, stepped by ``_pcg64_step`` and output
     by XSL-RR (the halves xor-ed, rotated right by the top six state bits),
     and a double is the output's top 53 bits times 2**-53.  A take refills
-    only the rows with fewer unread draws than it takes, up to ``block``
-    draws each, one step across those rows at a time, so temporaries stay
-    row-sized.
+    only the rows with fewer unread draws than it takes, up to
+    ``_BANK_BLOCK`` draws each, one step across those rows at a time, so
+    temporaries stay row-sized.
     """
 
-    def __init__(self, seed: int, indices, block: int = 16):
+    def __init__(self, seed: int, indices):
         self._state, self._inc = _pcg64_seed(seed, indices)
         self.n = n = self._state.shape[1]
-        self._block = block
         # draw j of row r sits at [j, r]: rows mostly move in step, so a take
         # reads one contiguous stretch of the buffer rather than one cache
         # line per row
-        self._buf = np.empty((block, n))
-        self._pos = np.full(n, block, dtype=np.int64)
+        self._buf = np.empty((_BANK_BLOCK, n))
+        self._pos = np.full(n, _BANK_BLOCK, dtype=np.int64)
 
     def take(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
-        """The next ``k`` (at most the block) draws of each of the distinct
-        ``rows``, (k, m)."""
+        """The next ``k`` (at most ``_BANK_BLOCK``) draws of each of the
+        distinct ``rows``, (k, m)."""
         pos = self._pos[rows]
-        short = pos + k > self._block
+        short = pos + k > _BANK_BLOCK
         if short.any():
             self._refill(rows[short])
             pos[short] = 0
@@ -369,11 +370,11 @@ class _StreamBank:
     def _refill(self, rows: np.ndarray) -> None:
         """Move each row's unread draws to the front of its buffer and fill
         the rest with the draws that follow them."""
-        for left, g in _index_groups(self._block - self._pos[rows]):
+        for left, g in _index_groups(_BANK_BLOCK - self._pos[rows]):
             r = rows[g]
-            self._buf[:left, r] = self._buf[self._block - left:, r]
+            self._buf[:left, r] = self._buf[_BANK_BLOCK - left:, r]
             (lo, hi), inc = self._state[:, r], self._inc[:, r]
-            for j in range(left, self._block):
+            for j in range(left, _BANK_BLOCK):
                 lo, hi = _pcg64_step(lo, hi, inc)
                 rot = hi >> 58
                 x = lo ^ hi
@@ -413,11 +414,13 @@ def _policy_rule(policy) -> tuple[list[RelaxedControl], Callable[[np.ndarray], n
     return controls, assign
 
 
-def _start_belief(model: PopdmpModel, x0, y0: int | None) -> Belief:
-    """The point mass at a forced hidden state ``y0``, else Q_0(.|x0)."""
+def _start_belief(model: PopdmpModel, x0, y0) -> tuple[Belief, int | None]:
+    """The point mass at a forced hidden state ``y0`` (an index or a point)
+    and its index, else Q_0(.|x0) and None."""
     if y0 is None:
-        return initial_belief(model, x0)
-    return Belief(np.eye(model.n_states)[int(y0)])
+        return initial_belief(model, x0), None
+    y0 = _state_number(model, y0)
+    return Belief(np.eye(model.n_states)[y0]), y0
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +439,11 @@ class _BatchResult:
     events: dict | None
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, cum.size - 1)
-
-
-def _rowwise_inverse_cdf(cums: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _inverse_cdf(cums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index each uniform ``u`` draws from non-decreasing cumulative weights,
+    (m, k) or one shared row: the count of weights <= u, capped at the last."""
     idx = (cums <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cums.shape[1] - 1)
+    return np.minimum(idx, cums.shape[-1] - 1)
 
 
 def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
@@ -466,7 +466,7 @@ def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
     noise_cum = np.cumsum(model.noise.weights)
 
     if y0 is not None:
-        y = np.full(n, int(y0), dtype=np.int64)
+        y = np.full(n, y0, dtype=np.int64)
     else:
         u, = bank.take(np.arange(n))
         y = _inverse_cdf(np.cumsum(mu0.probs), u)
@@ -544,7 +544,7 @@ def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
             atoms = atom_acc[accepted]
             for a, g in _index_groups(atoms):
                 rows_k = _local(model, "jump_kernel", pos_j[g], tb.atom_actions[a])
-                y_next[g] = _rowwise_inverse_cdf(np.cumsum(rows_k, axis=1), u4[g])
+                y_next[g] = _inverse_cdf(np.cumsum(rows_k, axis=1), u4[g])
             eps_idx = _inverse_cdf(noise_cum, u5)
             x = tables.emitted[y_next, eps_idx]
 
@@ -612,10 +612,7 @@ def sample_jump(model: PopdmpModel, y, control: RelaxedControl, rng):
     gen = (rng if isinstance(rng, np.random.Generator)
            else RngStream(*_stream_address(rng)).generator())
     model.check_control(control)
-    if isinstance(y, (int, np.integer)):
-        y_pt = model.post_jump_states[int(y)]
-    else:
-        y_pt = np.atleast_1d(np.asarray(y, dtype=float))
+    y_pt = model.post_jump_states[_state_number(model, y)]
     lam_bar = model.hazard_bounds[1]
     t = 0.0
     while True:
@@ -652,7 +649,7 @@ def sample_first_jumps(model: PopdmpModel, control: RelaxedControl, n: int, seed
     if (y0 is None) == (x0 is None):
         raise ValueError("give exactly one of y0 (forced state) or x0 (observation)")
     rule = _policy_rule(control)
-    mu0 = _start_belief(model, x0, y0)
+    mu0, y0 = _start_belief(model, x0, y0)
     tables = SimTables(model, 4.0 / model.hazard_bounds[0])
     s = np.empty(n)
     y_next = np.empty(n, dtype=np.int64)
@@ -685,9 +682,9 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
     """
     seed, index = _stream_address(rng)
     controls, _ = rule = _policy_rule(policy)
+    mu0, y0 = _start_belief(model, x0, y0)
     bank = _StreamBank(seed, np.array([index]))
-    res = _simulate_batch(rule, SimTables(model, cost_horizon), bank, _start_belief(model, x0, y0),
-                          y0=y0, record=True)
+    res = _simulate_batch(rule, SimTables(model, cost_horizon), bank, mu0, y0=y0, record=True)
     # the events are the jumps, then the truncated segment if there is one
     ev = res.events
     jumps = slice(int(res.n_jumps[0]))

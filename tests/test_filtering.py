@@ -282,6 +282,38 @@ def test_non_finite_observations_match_no_noise_offset(steering):
             P.evaluate_policy_mc(steering, x, r, 200, seed=1)
 
 
+def test_an_observation_must_match_the_state_dimension(steering):
+    # a 2-vector broadcast against the one-dimensional states and was
+    # silently accepted everywhere
+    r = P.RelaxedControl.constant(0.0)
+    x = [0.0, 0.0]
+    calls = [
+        lambda: P.initial_belief(steering, x),
+        lambda: P.update(steering, [0.0, 1.0, 0.0], r, 0.5, x),
+        lambda: P.q_tilde(steering, 0.5, 1, x, 1, r),
+        lambda: P.filter_trajectory(steering, 0.0, [(r, 0.5, x)]),
+        lambda: P.filter_trajectory(steering, x, []),
+        lambda: P.evaluate_policy_mc(steering, x, r, 10, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="dimension"):
+            call()
+
+
+@pytest.mark.parametrize("kernel", [None, P.RegularizationKernel("gaussian", 0.1)],
+                         ids=["exact", "regularized"])
+def test_every_event_check_names_its_event(steering, kernel):
+    # only s <= 0 and a zero likelihood used to name the failing event
+    r = P.RelaxedControl.constant(0.0)
+    ok = (r, 0.5, 0.0)
+    bad_events = [(r, np.nan, 0.0), (r, np.inf, 0.0), (P.RelaxedControl.constant(2.0), 0.5, 0.0),
+                  (P.RelaxedControl.constant(np.nan), 0.5, 0.0), (r, 0.5, np.nan),
+                  (r, 0.5, -np.inf)]
+    for bad in bad_events:
+        with pytest.raises(ValueError, match="^event 1: "):
+            P.filter_trajectory(steering, 0.0, [ok, bad, ok], kernel=kernel)
+
+
 def steering_regularized_closed_form(x0, events, sigma):
     """Regularized filter of the steering model written out by hand: unit
     hazard and discount, so the jump density from y_i at time u is

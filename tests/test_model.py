@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,19 @@ def test_non_finite_actions_and_times_are_rejected(steering):
             P.lambda_path(steering, [0.0], r, ts)
     with pytest.raises(ValueError, match="finite"):
         P.update(steering, [1 / 3] * 3, r, np.inf, 0.0)
+
+
+def test_flow_times_must_be_finite(steering):
+    # an infinite time passed the sortedness check and reached the flow,
+    # where it overflowed the RK4 step count or turned the closed form's
+    # inf * 0 into a NaN, with a RuntimeWarning
+    m_field = toy_model(drift=P.velocity_field())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model in (steering, m_field):
+            for a in (0.0, 0.5):
+                with pytest.raises(ValueError, match="finite"):
+                    P.flow_path(model, [0.0], P.RelaxedControl.constant(a), [0.5, np.inf])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 ``perfbench/`` wraps or calls.  The benchmark only warns when a traced name
 is missing (the metric then reads zero), so a cut that removes one fails
 here instead.  ``perfbench`` is read, never edited.  The surface through which
-the library calls a model's local characteristics stays one function."""
+the library calls a model's local characteristics stays one function, and
+so does the one through which it evaluates a closed-form flow."""
 
 import ast
 import importlib
@@ -68,3 +69,18 @@ def test_only_the_checked_evaluator_calls_the_local_characteristics():
                   and (isinstance(n.func, ast.Attribute) and n.func.attr in names
                        or isinstance(n.func, ast.Call) and getattr(n.func.func, "id", "") == "getattr")]
     assert calls == []
+
+
+def test_only_one_function_evaluates_a_closed_form_flow():
+    # ClosedFormFlow.path is called in one place, which shapes its result
+    # as (n, D) and checks that it is finite
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = [f for f in tree.body
+                  if isinstance(f, ast.FunctionDef) and f.name == "_closed_form_path"]
+        allowed = {id(n) for f in helper for n in ast.walk(f)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", "") == "path":
+                (inside if id(n) in allowed else outside).append(f"{path.name}:{n.lineno}")
+    assert len(inside) == 1 and outside == []

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,20 +38,20 @@ def test_stream_bank_draws_the_numpy_streams(seed, indices, block, data):
     # that refills are partial; one to three adjacent draws per row, so that
     # a refill may keep unread draws) against RngStream(seed, i).generator()
     big = max(indices) >= 2**63
-    bank = sim._StreamBank(seed, np.array(indices, dtype=object if big else np.int64),
-                           block=block)
     n = len(indices)
     takes = data.draw(st.lists(st.tuples(
         st.lists(st.integers(0, n - 1), unique=True),
         st.integers(1, min(block, 3))), max_size=90))
     used = np.zeros(n, dtype=np.int64)
     want = [P.RngStream(seed, i).generator().random(3 * len(takes)) for i in indices]
-    for rows, k in takes:
-        rows = np.array(rows, dtype=np.int64)
-        got = bank.take(rows, k)
-        expected = [want[r][used[r]:used[r] + k] for r in rows]
-        assert np.array_equal(got, np.reshape(expected, (rows.size, k)).T)
-        used[rows] += k
+    with mock.patch.object(sim, "_BANK_BLOCK", block):
+        bank = sim._StreamBank(seed, np.array(indices, dtype=object if big else np.int64))
+        for rows, k in takes:
+            rows = np.array(rows, dtype=np.int64)
+            got = bank.take(rows, k)
+            expected = [want[r][used[r]:used[r] + k] for r in rows]
+            assert np.array_equal(got, np.reshape(expected, (rows.size, k)).T)
+            used[rows] += k
 
 
 def test_stream_bank_rejects_negative_seeds_and_indices():
@@ -144,6 +145,35 @@ def test_sample_jump_reproducible(steering):
     # a point argument addresses the same state as its index
     d = P.sample_jump(steering, [-2.0], r, P.RngStream(3, 14))
     assert d == a
+
+
+def test_a_negative_state_index_is_out_of_range(steering):
+    # -1 used to address the last state in the samplers, and the trajectory
+    # recorded state -1, while q_tilde and stage_cost_g refused it
+    r = P.RelaxedControl.constant(0.5)
+    calls = [
+        lambda: P.sample_jump(steering, -1, r, 3),
+        lambda: P.sample_first_jumps(steering, r, 10, seed=1, y0=-1),
+        lambda: P.simulate_trajectory(steering, 0.0, r, 1, y0=-1),
+    ]
+    for call in calls:
+        with pytest.raises(IndexError, match="out of range"):
+            call()
+
+
+def test_a_flat_closed_form_flow_drives_the_engine(steering):
+    # a one-dimensional closed-form flow that returns shape (n,) passed
+    # flow_path and the solver, but the engine indexed it as (n, D)
+    path = steering.drift.path
+    flat = dataclasses.replace(steering, drift=P.ClosedFormFlow(
+        lambda y, r, ts: path(y, r, ts)[:, 0]))
+    control = P.switch_control(-1.0, 0.5)
+    ts = np.array([0.7, 0.1, 0.4])
+    assert np.array_equal(P.flow_path(flat, [2.0], control, np.sort(ts)),
+                          P.flow_path(steering, [2.0], control, np.sort(ts)))
+    for x0 in (-2.0, 1.0):
+        assert (P.evaluate_policy_mc(flat, x0, control, 300, seed=4)
+                == P.evaluate_policy_mc(steering, x0, control, 300, seed=4))
 
 
 def test_engine_first_jump_has_the_law_of_sample_jump(steering):
