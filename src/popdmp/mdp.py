@@ -311,6 +311,10 @@ def _time_classes(tb: CandidateTables,
     return rep[:d], rep[d:], cw
 
 
+# dense cells (1 MiB of float64) per row block of ``transition_matrix``
+_BLOCK_CELLS = 2**17
+
+
 def transition_matrix(ctx: StageContext, control: RelaxedControl,
                       kernel: RegularizationKernel | None, grid: SimplexGrid,
                       beliefs: np.ndarray) -> sp.csr_matrix:
@@ -330,11 +334,22 @@ def transition_matrix(ctx: StageContext, control: RelaxedControl,
     (``SimplexGrid.face``); the full locator would return the same nonzero
     vertices and weights bit for bit, plus vertices of weight exactly 0.  A
     single-state atom u yields the posterior e_u exactly (x/x) wherever it
-    is kept, so e_u is located once and each row's mass, summed over its
-    kept time classes, goes to that vertex.  Entries are
-    added in place into one dense (beliefs x grid points) buffer, and the
-    result stores no explicit zeros.  A value grid's expectation is therefore
-    ``transition_matrix(...) @ values``.
+    is kept, so each row's mass, summed over its kept time classes, goes to
+    that vertex.
+
+    The matrix products (the beliefs against the class tensors, the
+    observation weights against those, and the single-state masses against
+    the class weights) run once over all rows, since BLAS may round a row
+    differently when the rows are split.  The row-wise work (masks,
+    posteriors, location) then runs on blocks of about ``_BLOCK_CELLS``
+    dense cells: each block's entries are added in place into one dense
+    (block rows x grid points) buffer, whose nonzero cells become that
+    block's CSR rows.  Every cell receives its terms in the same order
+    whatever the block size, so the matrix is bitwise independent of it.
+    The buffer holds about ``_BLOCK_CELLS`` cells (at least one row) for any
+    number of beliefs; memory is otherwise the products, of order beliefs
+    times time classes.  The result stores no explicit zeros.  A value
+    grid's expectation is therefore ``transition_matrix(...) @ values``.
     """
     tb = ctx.tables(control)
     d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else None
@@ -343,31 +358,55 @@ def transition_matrix(ctx: StageContext, control: RelaxedControl,
     un_w = (beliefs @ c_w.reshape(d, -1)).reshape(-1, d, n_cls)
     un_b = un_w if d_b is None else (beliefs @ c_b.reshape(d, -1)).reshape(-1, d, n_cls)
     n_rows, n_cols = beliefs.shape[0], grid.n_points
-    dense = np.zeros(n_rows * n_cols)
+    atoms = []
     for wvec in ctx.obs_weights:
         support = np.flatnonzero(wvec)
-        face, to_grid = grid.face(support)
         if support.size == 1:
             u = support[0]
+            keep = wvec[u] * un_b[:, u] > _DENOM_FLOOR
             wx = wvec[u] * un_w[:, u]
-            keep = (wx > 0.0) & (wvec[u] * un_b[:, u] > _DENOM_FLOOR)
+            keep &= wx > 0.0
+            wx[~keep] = 0.0  # in place: np.where(keep, wx, 0.0) without another copy
             psel = np.flatnonzero(keep.any(axis=1))
-            pw = np.where(keep[psel], wx[psel], 0.0) @ cw
-            posts = np.ones((1, 1))
+            mass = (psel, wx[psel] @ cw)
         else:
-            wx = np.einsum("u,puc->pc", wvec, un_w)
-            numer = wvec[None, support, None] * un_b[:, support]
-            denom = numer.sum(axis=1)
-            psel, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
-            pw = cw[csel] * wx[psel, csel]
-            posts = numer[psel, :, csel] / denom[psel, csel][:, None]
-        if psel.size == 0:
-            continue
-        idx, bw = face.barycentric_batch(posts)
-        # flat: numpy's fast ufunc.at path takes a 1-d index (2-d ran about 6x slower)
-        np.add.at(dense, (psel[:, None] * n_cols + to_grid[idx]).ravel(),
-                  (pw[:, None] * bw).ravel())
-    return sp.csr_matrix(dense.reshape(n_rows, n_cols))
+            mass = np.einsum("u,puc->pc", wvec, un_w)
+        atoms.append((wvec, support, *grid.face(support), mass))
+    step = max(1, _BLOCK_CELLS // n_cols)
+    dense = np.empty(min(step, n_rows) * n_cols)
+    # CSR parts, each list led by an empty part (a zero for the row pointer)
+    data, cols, counts = [np.zeros(0)], [np.zeros(0, np.int64)], [np.zeros(1, np.int64)]
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        block = dense[:(hi - lo) * n_cols]
+        block.fill(0.0)
+        for wvec, support, face, to_grid, mass in atoms:
+            if support.size == 1:
+                psel, pw = mass
+                a, b = np.searchsorted(psel, (lo, hi))
+                rows, pw = psel[a:b] - lo, pw[a:b]
+                posts = np.ones((1, 1))
+            else:
+                wx = mass[lo:hi]
+                numer = wvec[None, support, None] * un_b[lo:hi, support]
+                denom = numer.sum(axis=1)
+                rows, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+                pw = cw[csel] * wx[rows, csel]
+                posts = numer[rows, :, csel] / denom[rows, csel][:, None]
+            if rows.size == 0:
+                continue
+            idx, bw = face.barycentric_batch(posts)
+            # flat: numpy's fast ufunc.at path takes a 1-d index (2-d ran about 6x slower)
+            np.add.at(block, (rows[:, None] * n_cols + to_grid[idx]).ravel(),
+                      (pw[:, None] * bw).ravel())
+        nz = np.flatnonzero(block != 0.0)  # a bool scan: ~6x faster than one of the floats
+        data.append(block[nz])
+        cols.append(nz % n_cols)
+        counts.append(np.bincount(nz // n_cols, minlength=hi - lo))
+    del un_w, un_b, atoms  # the products are spent: free them before the rows are joined
+    indptr = np.cumsum(np.concatenate(counts))
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                         shape=(n_rows, n_cols))
 
 
 def expected_next_value(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedControl,

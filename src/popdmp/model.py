@@ -11,6 +11,7 @@ mixtures over a compact action box.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -533,6 +534,14 @@ def _index_groups(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
     order = np.argsort(ids, kind="stable")
     cuts = np.flatnonzero(ids[order[1:]] != ids[order[:-1]]) + 1
     return [(ids[g[0]], g) for g in np.split(order, cuts)]
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's CPU count (at least one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class ControlPath:

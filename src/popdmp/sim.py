@@ -31,7 +31,6 @@ the tests compare the bank with.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import warnings
 from contextlib import contextmanager
@@ -45,7 +44,7 @@ from scipy.integrate import cumulative_simpson
 from .filtering import _DENOM_FLOOR, Belief, ImpossibleObservationError, initial_belief
 from .grid import ValueGrid, interpolate
 from .model import (ClosedFormFlow, ControlPath, PopdmpModel, RelaxedControl, _closed_form_path,
-                    _flow_path, _index_groups, _local, _state_number)
+                    _flow_path, _index_groups, _local, _state_number, _usable_cores)
 from .solver import BellmanSweep, GridPolicy
 
 __all__ = [
@@ -709,11 +708,7 @@ _AUTO_CHUNK_ROWS = 12_500
 def _auto_workers(n_traj: int) -> int:
     """One worker per usable core, but at most one per ``_AUTO_CHUNK_ROWS``
     trajectories (and at least one)."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return min(cores, max(1, n_traj // _AUTO_CHUNK_ROWS))
+    return min(_usable_cores(), max(1, n_traj // _AUTO_CHUNK_ROWS))
 
 
 @contextmanager

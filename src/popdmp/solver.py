@@ -6,13 +6,18 @@ The Bellman operator restricted to the grid is linear in the value samples
 for each candidate control, so it is precomputed once per candidate as a
 stage-cost vector plus a sparse matrix; a Jacobi sweep is then a handful of
 sparse matrix-vector products and is deterministic regardless of how work is
-scheduled.
+scheduled.  The candidates' operators are built as one task each, on every
+usable core when the grid is large enough to pay; each matrix is assembled
+in row blocks of bounded size, and is bitwise the same for any runner count
+and block size.
 """
 
 from __future__ import annotations
 
 import csv
+import queue
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +34,7 @@ from .mdp import (
     _tie_stable_min,
     transition_matrix,
 )
-from .model import PopdmpModel, RelaxedControl, _index_groups
+from .model import PopdmpModel, RelaxedControl, _index_groups, _usable_cores
 
 __all__ = [
     "BellmanSweep",
@@ -52,11 +57,65 @@ FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 10_000
 
 
+# Plain-filter builds on grids with fewer points run their candidates on
+# the calling thread alone.  numpy releases the interpreter lock only inside
+# its kernels, and a small grid's arrays are too small for that to pay for
+# passing the lock between threads.  On a 2-vCPU host, with the 5-candidate
+# steering family, two threads built no faster at K=15 (136 points), where
+# they made the benchmark's mc-filter set-up 28% slower, and 22% faster at
+# K=18 (190 points).  A regularized build has about three times the time
+# classes, and two threads built it 30% faster at K=15 (sigma 0.2 and 0.1).
+_MIN_THREADED_POINTS = 150
+
+
+def _map_threaded(fn, items: list, runners: int) -> list:
+    """``[fn(x) for x in items]``, with the items handed out one at a time,
+    in order, to ``runners`` runners: the calling thread and a pool of
+    ``runners - 1`` threads (the layout of ``sim._mc_estimator``).  Each
+    result is what ``fn`` returns for its item alone, so the list does not
+    depend on ``runners``.  Once a call raises, no further item is started;
+    the calls in flight finish, and the error of the lowest failed index is
+    raised, which is the one a serial loop would meet first."""
+    todo: queue.SimpleQueue = queue.SimpleQueue()
+    for k in range(len(items)):
+        todo.put(k)
+    out: list = [None] * len(items)
+    errors: dict = {}
+
+    def drain() -> None:
+        while not errors:
+            try:
+                k = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                out[k] = fn(items[k])
+            except BaseException as exc:
+                errors[k] = exc
+
+    # a pool starts its threads on submit, so one runner starts none
+    with ThreadPoolExecutor(max_workers=max(1, runners - 1)) as pool:
+        rest = [pool.submit(drain) for _ in range(runners - 1)]
+        drain()
+        for f in rest:
+            f.result()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 class BellmanSweep:
     """Grid-restricted Bellman operator, one (cost vector, sparse matrix)
     pair per candidate control, for the regularization kernel (None: plain
     filter) and the stage quadrature of ``ctx`` (default ``StageContext(model)``;
-    one built for another model raises ValueError)."""
+    one built for another model raises ValueError).
+
+    Each candidate's stage tables, cost row and matrix are built as one
+    task.  With a regularization kernel, or on a grid of at least
+    ``_MIN_THREADED_POINTS`` points, the tasks run on one runner per usable
+    core, at most one per candidate (``_map_threaded``); otherwise on the
+    calling thread.  A task depends only on its own control, so every
+    matrix is bitwise the same whatever the runner count."""
 
     def __init__(self, model: PopdmpModel, grid: SimplexGrid, family: ControlFamily,
                  kernel: RegularizationKernel | None = None,
@@ -69,10 +128,18 @@ class BellmanSweep:
         self.ctx = _context(model, ctx)
         if grid.dim != model.n_states:
             raise ValueError("grid dimension must match the number of post-jump states")
-        self.gmat = np.stack([grid.points @ self.ctx.tables(c).g for c in family])
-        self.mats: list[sp.csr_matrix] = [
-            transition_matrix(self.ctx, c, kernel, grid, grid.points) for c in family
-        ]
+        for wvec in self.ctx.obs_weights:
+            grid.face(np.flatnonzero(wvec))  # cached here, so the runners only read it
+
+        def build(control: RelaxedControl) -> tuple[np.ndarray, sp.csr_matrix]:
+            g = grid.points @ self.ctx.tables(control).g
+            return g, transition_matrix(self.ctx, control, kernel, grid, grid.points)
+
+        threaded = kernel is not None or grid.n_points >= _MIN_THREADED_POINTS
+        built = _map_threaded(build, list(family),
+                              min(_usable_cores(), len(family)) if threaded else 1)
+        self.gmat = np.stack([g for g, _ in built])
+        self.mats: list[sp.csr_matrix] = [m for _, m in built]
 
     # -- sweeps ---------------------------------------------------------------
 

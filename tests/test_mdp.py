@@ -622,11 +622,19 @@ def split_support_model():
         hazard=[(-1.0, 0.7), (1.0, 1.6)], noise_offsets=[-2.0, 2.0], noise_weights=[0.5, 0.5])
 
 
+def assert_same_matrix(a, b):
+    """``a`` and ``b`` are the same CSR matrix field by field, bit for bit,
+    and store no explicit zeros."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+    assert np.all(a.data != 0.0)
+
+
 def assert_same_sweeps(got, ref):
-    assert np.array_equal(got.gmat, ref.gmat)
+    assert np.array_equal(got.gmat.view(np.uint64), ref.gmat.view(np.uint64))
     for a, b in zip(got.mats, ref.mats, strict=True):
-        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+        assert_same_matrix(a, b)
 
 
 @pytest.mark.parametrize("case", ["steering-k40", "steering-k15", "four-state", "split-support"])
@@ -679,6 +687,8 @@ def test_two_state_posteriors_add_a_third_fewer_entries(steering, ctx, monkeypat
 
     monkeypatch.setattr(P.SimplexGrid, "barycentric_batch", recording)
     monkeypatch.setattr(mdp_module, "np", _CountingNumpy(records))
+    # one runner: concurrent candidate builds would interleave the records
+    monkeypatch.setattr(solver_module, "_usable_cores", lambda: 1)
     grid = P.build_simplex_grid(3, 40)
     family = bang5()
     P.BellmanSweep(steering, grid, family, ctx=ctx)
@@ -688,3 +698,30 @@ def test_two_state_posteriors_add_a_third_fewer_entries(steering, ctx, monkeypat
     assert rows == sum(per_atom_posteriors(ctx, c, None, grid.points)[two_atoms].sum()
                        for c in family) > 0
     assert 3 * sum(r["entries"] for r in two) == 2 * (grid.dim * rows)
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+
+
+@pytest.mark.parametrize("case", ["steering", "steering-0.2", "four-state"])
+def test_row_blocks_match_the_single_block_build(case, steering, monkeypatch):
+    # blocks of 1 and 7 rows against one block of all rows, bit for bit, and
+    # the blocked build against the per-node reference; the four-state
+    # model's atoms span faces of 1, 2 and 3 states
+    model = four_state_model() if case == "four-state" else steering
+    kernel = P.RegularizationKernel("gaussian", 0.2) if case == "steering-0.2" else None
+    grid = P.build_simplex_grid(model.n_states, 6 if case == "four-state" else 12)
+    ctx = P.StageContext(model)
+    n_rows, n_cols = grid.n_points, grid.n_points
+    built = {}
+    for rows in (1, 7, n_rows):
+        monkeypatch.setattr(mdp_module, "_BLOCK_CELLS", rows * n_cols)
+        for control in bang5() if model is steering else P.switching_family(taus=[0.5]):
+            built.setdefault(control, []).append(
+                transition_matrix(ctx, control, kernel, grid, grid.points))
+    for control, (one, seven, whole) in built.items():
+        assert_same_matrix(one, whole)
+        assert_same_matrix(seven, whole)
+        ref = reference_transition_matrix(ctx, control, kernel, grid, grid.points)
+        assert abs(one - ref).max() <= 1e-13

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import sys
 import threading
 import warnings
@@ -325,7 +326,7 @@ def test_worker_count_does_not_change_results(steering, family, solved15):
 
 
 def test_default_workers_are_one_per_core_with_a_chunk_floor(monkeypatch):
-    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     rows = sim._AUTO_CHUNK_ROWS
     assert sim._auto_workers(1) == 1
     assert sim._auto_workers(2 * rows - 1) == 1

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import popdmp as P
+import popdmp.solver as solver_module
 from conftest import mirror_gap
 
 
@@ -248,6 +256,107 @@ def test_controlled_hazard_solves_with_mandatory_regularization():
     assert report.converged
     assert vg.values.min() >= 0.0
     assert vg.values.max() <= m.cost_max / m.discount + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# candidate builds on several cores
+
+
+@pytest.mark.parametrize("case", ["steering", "steering-0.2", "four-state"])
+def test_threaded_sweep_matches_the_one_worker_build(case, steering, monkeypatch):
+    from test_mdp import assert_same_sweeps, four_state_model
+
+    model = four_state_model() if case == "four-state" else steering
+    kernel = P.RegularizationKernel("gaussian", 0.2) if case == "steering-0.2" else None
+    family = five_candidates() if model is steering else P.switching_family(taus=[0.5, 1.0])
+    grid = P.build_simplex_grid(model.n_states, 6 if case == "four-state" else 15)
+    monkeypatch.setattr(solver_module, "_MIN_THREADED_POINTS", 0)
+    built = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(solver_module, "_usable_cores", lambda: cores)
+        built[cores] = P.BellmanSweep(model, grid, family, kernel=kernel,
+                                      ctx=P.StageContext(model))
+    assert_same_sweeps(built[2], built[1])
+    assert_same_sweeps(built[3], built[1])
+
+
+def test_small_plain_builds_run_on_the_calling_thread(steering, monkeypatch):
+    monkeypatch.setattr(solver_module, "_usable_cores", lambda: 2)
+    threads = []
+    build = solver_module.transition_matrix
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        time.sleep(0.01)
+        return build(*args)
+
+    monkeypatch.setattr(solver_module, "transition_matrix", recording)
+    sigma = P.RegularizationKernel("gaussian", 0.2)
+    for k, kernel, runners in ((15, None, 1), (16, None, 2), (15, sigma, 2)):  # 136, 153 points
+        threads.clear()
+        P.BellmanSweep(steering, P.build_simplex_grid(3, k), five_candidates(), kernel=kernel)
+        assert len(threads) == 5 and len(set(threads)) == runners
+        assert threading.get_ident() in threads
+
+
+def test_candidate_tasks_keep_their_order_and_the_first_error():
+    # three runners (more than the cores of a 2-core host) switching threads
+    # as often as the interpreter allows: every item runs once, on up to
+    # three threads, and its result lands at its own index
+    def map3(fn, items):
+        return solver_module._map_threaded(fn, items, 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        calls, threads = [], set()
+
+        def square(k):
+            calls.append(k)
+            threads.add(threading.get_ident())
+            time.sleep(0.001 if k < 12 else 0.0)
+            return k * k
+
+        assert map3(square, list(range(500))) == [k * k for k in range(500)]
+        assert sorted(calls) == list(range(500))
+        assert 1 < len(threads) <= 3
+        assert map3(square, []) == []
+
+        def fail_at_4_and_7(k):
+            if k in (4, 7):
+                time.sleep(0.05 if k == 4 else 0.0)
+                raise ValueError(f"item {k}")
+            return k
+
+        # item 7 fails first, while item 4 is still running: the error is
+        # item 4's, as in a serial loop
+        for _ in range(5):
+            with pytest.raises(ValueError, match="item 4"):
+                map3(fail_at_4_and_7, list(range(12)))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_a_large_grid_builds_in_bounded_memory(tmp_path):
+    # K=160 has 13041 grid points, so the dense (points x points) buffer the
+    # build once filled per candidate held 13041**2 float64 = 1.36 GB,
+    # far above the bound; row blocks hold 2**17 cells (1 MiB) at a time.
+    # The peak is the child's VmHWM: its ru_maxrss would start from this
+    # process's peak, which a spawned child inherits
+    src = Path(P.__file__).resolve().parent.parent
+    code = (
+        "import popdmp as P\n"
+        "m = P.particle_steering_model()\n"
+        "sweep = P.BellmanSweep(m, P.build_simplex_grid(3, 160), P.switching_family(taus=[0.5]))\n"
+        "assert len(sweep.mats) == 5 and sweep.mats[0].shape == (13041, 13041)\n"
+        "print([ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM')][0])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    peak_mb = int(out.stdout.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb < 512
 
 
 # ---------------------------------------------------------------------------
