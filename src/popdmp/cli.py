@@ -412,7 +412,7 @@ _shared = [
                  help="Override solver.sigma ('plain' or bandwidth)."),
     click.option("--seed", type=int, default=None, help="Override sim.seed."),
     click.option("--workers", default=None, callback=_flag(int),
-                 help="Override sim.workers ('auto', one per usable core and 12.5k "
+                 help="Override sim.workers ('auto', one per usable core and 18.75k "
                       "trajectories, or a count)."),
 ]
 

@@ -19,7 +19,7 @@ and the noise offset).  Results are therefore bit-identical however the
 batch is chunked or scheduled.
 
 The batch engine does not build a numpy generator per trajectory: its
-stream bank holds the PCG64 states of a whole chunk as uint64 arrays,
+stream bank holds the PCG64 states of a whole block as uint64 arrays,
 seeded by replaying SeedSequence's pool hashing on uint32 columns and
 stepped as 128-bit integers, and draws for every ``(s, i)`` exactly the
 doubles that ``RngStream(s, i).generator().random()`` draws, for every
@@ -33,9 +33,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -45,7 +43,7 @@ from .filtering import _DENOM_FLOOR, Belief, ImpossibleObservationError, initial
 from .grid import ValueGrid, interpolate
 from .model import (ClosedFormFlow, ControlPath, PopdmpModel, RelaxedControl, _closed_form_path,
                     _flow_path, _index_groups, _local, _state_number, _usable_cores)
-from .solver import BellmanSweep, GridPolicy
+from .solver import BellmanSweep, GridPolicy, _map_threaded
 
 __all__ = [
     "RngStream",
@@ -147,6 +145,7 @@ class SimTables:
         self.emitted = states[:, None, :] + model.noise.offsets[None, :, :]
         self.likelihood = model.noise.density(self.emitted[:, :, None, :]
                                               - states[None, None, :, :])
+        self.noise_cum = np.cumsum(model.noise.weights)
         self._entries: dict[RelaxedControl, _ControlTables] = {}
         self._lock = threading.Lock()
 
@@ -196,23 +195,31 @@ class SimTables:
 
     # -- lookups ---------------------------------------------------------------
 
-    def lerp(self, table: np.ndarray, s: np.ndarray, y_idx=None) -> np.ndarray:
-        """A (d, n, ...) table at times ``s`` by linear interpolation on the
-        grid: in rows ``y_idx``, (m, ...), or in every state row, (m, d, ...)."""
+    def at(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The grid interval index and weight of each time in ``s``, the
+        interpolation point ``lerp`` and ``position`` read."""
         j = np.clip(np.floor(s / _SIM_STEP).astype(np.int64), 0, self._n - 2)
-        w = s / _SIM_STEP - j
-        if y_idx is None:
-            y_idx, j, w = np.arange(table.shape[0]), j[:, None], w[:, None]
+        return j, s / _SIM_STEP - j
+
+    def lerp(self, table: np.ndarray, at: tuple[np.ndarray, np.ndarray],
+             y_idx: np.ndarray) -> np.ndarray:
+        """A (d, n, ...) table in state rows ``y_idx`` at the points ``at``
+        by linear interpolation on the grid, (m, ...)."""
+        j, w = at
         w = w.reshape(w.shape + (1,) * (table.ndim - 2))
         return table[y_idx, j] * (1.0 - w) + table[y_idx, j + 1] * w
 
-    def position(self, tb: _ControlTables, s: np.ndarray) -> np.ndarray:
-        """Flow positions from every post-jump state at times ``s``, shape
-        (m, d, D); exact for a closed-form flow."""
+    def position(self, tb: _ControlTables, s: np.ndarray, y_idx: np.ndarray,
+                 at: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """Flow positions from post-jump states ``y_idx`` at times ``s``,
+        (m, D); exact for a closed-form flow.  ``at`` is ``self.at(s)``
+        where the caller has it."""
         if tb.positions is not None:
-            return self.lerp(tb.positions, s)
-        return np.stack([_closed_form_path(self.model, y, tb.control, s)
-                         for y in self.model.post_jump_states], axis=1)
+            return self.lerp(tb.positions, self.at(s) if at is None else at, y_idx)
+        out = np.empty((s.size, self.model.space_dim))
+        for y, g in _index_groups(y_idx):
+            out[g] = _closed_form_path(self.model, self.model.post_jump_states[y], tb.control, s[g])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +272,28 @@ def _hasher(init: int, mult: int):
     return hashmix
 
 
-def _generate_state(seed: int, indices) -> list[np.ndarray]:
-    """``SeedSequence((seed, i)).generate_state(8)`` for every i in
-    ``indices``, as eight uint32 columns.
+def _generate_state(seeds, indices) -> list[np.ndarray]:
+    """``SeedSequence((seeds[r], indices[r])).generate_state(8)`` for every
+    row r, as eight uint32 columns; ``seeds`` broadcasts against ``indices``.
 
-    The pool hashes the first four entropy words (zero-padded), mixes every
-    pool word into every other, then mixes every further entropy word into
-    each pool word, masked per row because rows may carry different word
-    counts.
+    A row's entropy is its seed's words, then its index's words.  The pool
+    hashes the first four entropy words (zero-padded), mixes every pool word
+    into every other, then mixes every further entropy word into each pool
+    word, masked per row because rows may carry different word counts.
     """
-    seed_cols, seed_count = _uint32_words(np.array([int(seed)], dtype=object))
-    idx_cols, idx_count = _uint32_words(np.asarray(indices))
-    n = idx_count.size
-    words = [np.full(n, c[0], dtype=np.uint32) for c in seed_cols] + idx_cols
-    n_words = int(seed_count[0]) + idx_count
-    words += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    seeds, indices = np.broadcast_arrays(np.asarray(seeds), np.asarray(indices))
+    seed_cols, seed_count = _uint32_words(seeds)
+    idx_cols, idx_count = _uint32_words(indices)
+    n_words = seed_count + idx_count
+    # entropy word k of a row: its seed's word k, else its index's word
+    # k - seed_count, else zero (a seed column is zero past a seed's words)
+    idx_cols, rows = np.array(idx_cols), np.arange(seeds.size)
+    words = []
+    for k in range(max(_POOL_SIZE, len(seed_cols) + len(idx_cols))):
+        at = k - seed_count
+        of_index = (at >= 0) & (at < idx_count)
+        word = seed_cols[k] if k < len(seed_cols) else np.uint32(0)
+        words.append(np.where(of_index, idx_cols[np.clip(at, 0, len(idx_cols) - 1), rows], word))
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         r = _MIX_MULT_L * x - _MIX_MULT_R * y
@@ -312,17 +326,17 @@ def _pcg64_step(lo: np.ndarray, hi: np.ndarray, inc: np.ndarray) -> tuple[np.nda
     return new_lo, hi * _MULT_LO + lo * _MULT_HI + carry + inc[1] + (new_lo < inc[0])
 
 
-def _pcg64_seed(seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
+def _pcg64_seed(seeds, indices) -> tuple[np.ndarray, np.ndarray]:
     """The (lo, hi) halves, (2, n) uint64 each, of the state and increment
-    that ``PCG64(SeedSequence((seed, i)))`` starts from, for every i in
-    ``indices``.
+    that ``PCG64(SeedSequence((seed, i)))`` starts from, for every (seed, i)
+    of ``seeds`` broadcast against ``indices``.
 
     ``generate_state(4, uint64)`` gives the initial state (words 0 and 1,
     high first) and the stream selector (words 2 and 3); PCG64's set-up is
     state 0, increment ``selector << 1 | 1``, a step, the initial state
     added, and another step.
     """
-    w = [v.astype(np.uint64) for v in _generate_state(seed, indices)]
+    w = [v.astype(np.uint64) for v in _generate_state(seeds, indices)]
     init_lo, init_hi = w[2] | (w[3] << 32), w[0] | (w[1] << 32)
     sel_lo, sel_hi = w[6] | (w[7] << 32), w[4] | (w[5] << 32)
     inc = np.array([(sel_lo << 1) | 1, (sel_hi << 1) | (sel_lo >> 63)])
@@ -332,11 +346,12 @@ def _pcg64_seed(seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _StreamBank:
-    """The uniform streams ``RngStream(seed, i)`` of a chunk of trajectories,
+    """The uniform streams ``RngStream(seed, i)`` of a block of trajectories,
     held as arrays and consumed strictly in order.
 
     Row r draws exactly the doubles that
-    ``RngStream(seed, indices[r]).generator().random()`` draws: its PCG64
+    ``RngStream(seeds[r], indices[r]).generator().random()`` draws, for
+    ``seeds`` (one seed, or one per row) broadcast against ``indices``: its PCG64
     state is seeded by ``_pcg64_seed``, stepped by ``_pcg64_step`` and output
     by XSL-RR (the halves xor-ed, rotated right by the top six state bits),
     and a double is the output's top 53 bits times 2**-53.  A take refills
@@ -345,8 +360,8 @@ class _StreamBank:
     temporaries stay row-sized.
     """
 
-    def __init__(self, seed: int, indices):
-        self._state, self._inc = _pcg64_seed(seed, indices)
+    def __init__(self, seeds, indices):
+        self._state, self._inc = _pcg64_seed(seeds, indices)
         self.n = n = self._state.shape[1]
         # draw j of row r sits at [j, r]: rows mostly move in step, so a take
         # reads one contiguous stretch of the buffer rather than one cache
@@ -445,32 +460,136 @@ def _inverse_cdf(cums: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cums.shape[-1] - 1)
 
 
-def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
+def _thin(tables: SimTables, tb: _ControlTables, bank: _StreamBank, sub: np.ndarray,
+          t0: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thinning under one control for bank rows ``sub``, at times ``t0`` in
+    hidden states ``y``: each row's elapsed time at its accepted proposal
+    and that proposal's atom, or -1 for a row whose proposals reach the
+    horizon first.  The flow position is taken from the hidden state only."""
+    model = tables.model
+    control = tb.control
+    lam_bar = model.hazard_bounds[1]
+    elapsed = np.zeros(sub.size)
+    atom_acc = np.full(sub.size, -1, dtype=np.int64)
+    pend = np.ones(sub.size, dtype=bool)
+    while pend.any():
+        p = np.flatnonzero(pend)
+        u1, = bank.take(sub[p])
+        elapsed[p] -= np.log1p(-u1) / lam_bar
+        over = t0[p] + elapsed[p] >= tables.horizon
+        pend[p[over]] = False
+        live = p[~over]
+        if live.size == 0:
+            continue
+        u2, u3 = bank.take(sub[live], 2)
+        s = elapsed[live]
+        pos = tables.position(tb, s, y[live])
+        atom = np.empty(live.size, dtype=np.int64)
+        for pc, g in _index_groups(control.piece_index_at(s)):
+            atom[g] = tb.atom_first[pc] + _inverse_cdf(tb.atom_cums[pc], u2[g])
+        rate = np.empty(live.size)
+        for a, g in _index_groups(atom):
+            rate[g] = _local(model, "hazard", pos[g], tb.atom_actions[a])
+        ok = u3 * lam_bar <= rate
+        hit = live[ok]
+        pend[hit] = False
+        atom_acc[hit] = atom[ok]
+    return elapsed, atom_acc
+
+
+def _jump(tables: SimTables, tb: _ControlTables, bank: _StreamBank, rows: np.ndarray,
+          s: np.ndarray, atom: np.ndarray, t0: np.ndarray, y: np.ndarray, prior: np.ndarray):
+    """The jump of bank rows ``rows`` at elapsed times ``s`` after ``t0``,
+    from hidden states ``y`` with beliefs ``prior``, under the accepted atoms
+    ``atom``: the segment's discounted cost, the next state and noise offset
+    drawn with each row's next two uniforms, and the exact Bayes posterior
+    under the full mixture at ``s``."""
+    at = tables.at(s)
+    seg = np.exp(-tables.model.discount * t0) * tables.lerp(tb.cum_cost, at, y)
+    u_next, u_eps = bank.take(rows, 2)
+    y_next, numer = _pair_update(tables, tb, s, at, atom, y, prior, u_next)
+    eps_idx = _inverse_cdf(tables.noise_cum, u_eps)
+    numer *= tables.likelihood[y_next, eps_idx]
+    den = numer.sum(axis=1)
+    zero = ~(den > _DENOM_FLOOR)
+    if zero.any():
+        b = int(np.argmax(zero))
+        x = tables.emitted[y_next[b], eps_idx[b]]
+        raise ImpossibleObservationError(f"trajectory {rows[b]}: observation {x.tolist()} "
+                                         f"at s={s[b]} has zero likelihood")
+    numer /= den[:, None]
+    return seg, y_next, eps_idx, numer
+
+
+def _pair_update(tables: SimTables, tb: _ControlTables, s: np.ndarray, at, atom: np.ndarray,
+                 y: np.ndarray, prior: np.ndarray, u_next: np.ndarray):
+    """The next states drawn with uniforms ``u_next`` and the posterior
+    numerators before the observation likelihood, for rows jumping at
+    elapsed times ``s`` (interpolation points ``at``).
+
+    Hazards and kernel rows are evaluated once per live (row, state) pair,
+    a state with positive prior or the hidden one, and the hidden state's
+    kernel row under the accepted atom also draws the next state.  The
+    numerators are summed over each row's pairs in state order: the
+    products and order of ``einsum("gi,giu->gu", weights, kernel rows)``
+    over all states, where a dead pair adds an exact zero.
+    """
+    model = tables.model
+    control = tb.control
+    m, d = prior.shape
+    live = prior > 0
+    live[np.arange(m), y] = True
+    pr, st = np.nonzero(live)  # (row, state) order
+    at = at[0][pr], at[1][pr]
+    pos = tables.position(tb, s[pr], st, at)
+    weights = prior[pr, st] * np.exp(-tables.lerp(tb.lam_int, at, st))
+    del at  # gone before the kernel loop, where the step's memory peaks
+    draw = np.where(st == y[pr], atom[pr], -1)  # the accepted atom at each hidden-state pair
+    y_next = np.empty(m, dtype=np.int64)
+    # the sum over atoms of w * hazard * kernel row, as ControlPath.kernel_rows forms it
+    hk = np.zeros((pr.size, d))
+    for pc, sel in _index_groups(control.piece_index_at(s)[pr]):
+        if sel.size == pr.size:
+            sel = slice(None)  # one piece: views, and in-place sums
+        pts = pos[sel]
+        for a, w in enumerate(control.pieces[pc].weights, start=tb.atom_first[pc]):
+            krows = _local(model, "jump_kernel", pts, tb.atom_actions[a])
+            mine = draw[sel] == a
+            if mine.any():
+                g = pr[sel][mine]
+                y_next[g] = _inverse_cdf(np.cumsum(krows[mine], axis=1), u_next[g])
+            krows *= (w * _local(model, "hazard", pts, tb.atom_actions[a]))[:, None]
+            hk[sel] += krows
+    hk *= weights[:, None]
+    # each row's pairs are adjacent, and it has at least one
+    return y_next, np.add.reduceat(hk, np.flatnonzero(np.diff(pr, prepend=-1)), axis=0)
+
+
+def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0,
                     y0: int | None = None, max_jumps: int | None = None,
                     record: bool = False) -> _BatchResult:
     """Run one trajectory per row of ``bank`` under ``policy``, a
     ``_policy_rule`` pair, from time 0 to ``tables.horizon`` (or to its
     ``max_jumps``-th jump), drawing row r's uniforms from bank row r.
 
-    Every row starts from belief ``mu0``, in hidden state ``y0`` or, without
-    it, in one drawn from ``mu0`` with the row's first uniform.
+    Every row starts from belief ``mu0``, or row r from row r of an (n, d)
+    array ``mu0``, in hidden state ``y0`` or, without it, in one drawn from
+    its belief with the row's first uniform.  Each round's work runs in
+    ``_thin`` and ``_jump``, so its temporaries are gone before the next
+    round's policy lookup.
     """
     controls, assign = policy
     model = tables.model
     n = bank.n
-    d = model.n_states
     horizon = tables.horizon
-    beta = model.discount
-    lam_bar = model.hazard_bounds[1]
-    noise_cum = np.cumsum(model.noise.weights)
-
+    beliefs = np.array(np.broadcast_to(getattr(mu0, "probs", mu0), (n, model.n_states)),
+                       dtype=float)
     if y0 is not None:
         y = np.full(n, y0, dtype=np.int64)
     else:
         u, = bank.take(np.arange(n))
-        y = _inverse_cdf(np.cumsum(mu0.probs), u)
+        y = _inverse_cdf(np.cumsum(beliefs, axis=1), u)
     initial_hidden = y.copy()
-    beliefs = np.tile(mu0.probs, (n, 1))
     T = np.zeros(n)
     cost = np.zeros(n)
     active = np.ones(n, dtype=bool)
@@ -480,48 +599,16 @@ def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
 
     while active.any():
         rows = np.flatnonzero(active)
-        ks = assign(beliefs[rows])
-        for k, members in _index_groups(ks):
+        for k, members in _index_groups(assign(beliefs[rows])):
             sub = rows[members]
-            control = controls[k]
-            tb = tables.ensure(control)
-            m = sub.size
-            elapsed = np.zeros(m)
-            pend = np.ones(m, dtype=bool)
-            accepted = np.zeros(m, dtype=bool)
-            atom_acc = np.zeros(m, dtype=np.int64)
-            pos_acc = np.zeros((m, d, model.space_dim))
-            while pend.any():
-                p = np.flatnonzero(pend)
-                u1, = bank.take(sub[p])
-                elapsed[p] -= np.log1p(-u1) / lam_bar
-                over = T[sub[p]] + elapsed[p] >= horizon
-                pend[p[over]] = False
-                live = p[~over]
-                if live.size == 0:
-                    continue
-                u2, u3 = bank.take(sub[live], 2)
-                s_prop = elapsed[live]
-                pos_all = tables.position(tb, s_prop)
-                pos = pos_all[np.arange(live.size), y[sub[live]]]
-                piece = control.piece_index_at(s_prop)
-                atom = np.empty(live.size, dtype=np.int64)
-                for pc, g in _index_groups(piece):
-                    atom[g] = tb.atom_first[pc] + _inverse_cdf(tb.atom_cums[pc], u2[g])
-                rate = np.empty(live.size)
-                for a, asel in _index_groups(atom):
-                    rate[asel] = _local(model, "hazard", pos[asel], tb.atom_actions[a])
-                ok = u3 * lam_bar <= rate
-                hit = live[ok]
-                pend[hit] = False
-                accepted[hit] = True
-                atom_acc[hit] = atom[ok]
-                pos_acc[hit] = pos_all[ok]
+            tb = tables.ensure(controls[k])
+            elapsed, atom = _thin(tables, tb, bank, sub, T[sub], y[sub])
 
             # horizon-truncated members of this group
-            cut = sub[~accepted]
+            cut = sub[atom < 0]
             if cut.size:
-                seg = np.exp(-beta * T[cut]) * tables.lerp(tb.cum_cost, horizon - T[cut], y[cut])
+                seg = np.exp(-model.discount * T[cut]) * tables.lerp(
+                    tb.cum_cost, tables.at(horizon - T[cut]), y[cut])
                 cost[cut] += seg
                 active[cut] = False
                 truncated[cut] = True
@@ -530,48 +617,21 @@ def _simulate_batch(policy, tables: SimTables, bank: _StreamBank, mu0: Belief,
                                   np.full((cut.size, model.space_dim), np.nan),
                                   np.full(cut.size, k), seg))
 
-            jumped = sub[accepted]
+            acc = atom >= 0
+            jumped = sub[acc]
             if jumped.size == 0:
                 continue
-            s = elapsed[accepted]  # an accepted row's elapsed time stops at its jump
-            seg = np.exp(-beta * T[jumped]) * tables.lerp(tb.cum_cost, s, y[jumped])
+            s = elapsed[acc]  # an accepted row's elapsed time stops at its jump
+            seg, y_next, eps_idx, posterior = _jump(
+                tables, tb, bank, jumped, s, atom[acc], T[jumped], y[jumped], beliefs[jumped])
+            beliefs[jumped] = posterior
             cost[jumped] += seg
-            pos_all = pos_acc[accepted]
-            pos_j = pos_all[np.arange(jumped.size), y[jumped]]
-            u4, u5 = bank.take(jumped, 2)
-            y_next = np.empty(jumped.size, dtype=np.int64)
-            atoms = atom_acc[accepted]
-            for a, g in _index_groups(atoms):
-                rows_k = _local(model, "jump_kernel", pos_j[g], tb.atom_actions[a])
-                y_next[g] = _inverse_cdf(np.cumsum(rows_k, axis=1), u4[g])
-            eps_idx = _inverse_cdf(noise_cum, u5)
-            x = tables.emitted[y_next, eps_idx]
-
-            # exact Bayes update of the beliefs, using the full mixture at s;
-            # kernel rows are needed only where the belief is positive, and
-            # the zeros elsewhere meet zero weights in the same einsum
-            prior = beliefs[jumped]
-            weights = prior * np.exp(-tables.lerp(tb.lam_int, s))
-            live_pairs = prior > 0
-            hk = np.zeros((jumped.size, d, d))
-            piece = np.broadcast_to(control.piece_index_at(s)[:, None], live_pairs.shape)
-            hk[live_pairs] = ControlPath(model, control, pos_all[live_pairs],
-                                         piece[live_pairs]).kernel_rows
-            # the products and order of einsum("gi,gi,giu->gu", ...), about 5x faster
-            numer = np.einsum("gi,giu->gu", weights, hk) * tables.likelihood[y_next, eps_idx]
-            den = numer.sum(axis=1)
-            zero = ~(den > _DENOM_FLOOR)
-            if zero.any():
-                b = int(np.argmax(zero))
-                raise ImpossibleObservationError(f"trajectory {jumped[b]}: observation {x[b].tolist()} "
-                                                 f"at s={s[b]} has zero likelihood")
-            beliefs[jumped] = numer / den[:, None]
-
             T[jumped] += s
             y[jumped] = y_next
             n_jumps[jumped] += 1
             if record:
-                parts.append((jumped, T[jumped], y_next, x, np.full(jumped.size, k), seg))
+                parts.append((jumped, T[jumped], y_next, tables.emitted[y_next, eps_idx],
+                              np.full(jumped.size, k), seg))
             if max_jumps is not None:
                 done = jumped[n_jumps[jumped] >= max_jumps]
                 active[done] = False
@@ -698,27 +758,41 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
     )
 
 
-# rows per chunk in the default layout: two chunks of 12.5k rows on two cores
-# is the only multi-core layout measured to pay.  The per-jump loop holds the
-# interpreter lock between numpy calls, so smaller chunks may lose more to
-# contention than another core gains.
-_AUTO_CHUNK_ROWS = 12_500
+# rows per Monte Carlo block.  numpy calls on fewer rows lose more to
+# passing the interpreter lock between runners: on a 2-vCPU host, a 3x25k
+# cross-check on two runners took 8.9-9.4 us per trajectory in 12.5k-row
+# blocks, 8.0-9.0 us in 18.75k-row blocks and 6.8-7.2 us in 37.5k-row ones.
+# A runner holds one block at a time, at most 563 bytes per row at the
+# peak (tracemalloc, one batch, steering, K=15 bang policy), so two runners
+# hold 21.1 MB, below the 21.8 MB that two 12.5k-row chunks held at 872
+# bytes per row before the per-jump step was trimmed.
+_MC_BLOCK_ROWS = 18_750
 
 
-def _auto_workers(n_traj: int) -> int:
-    """One worker per usable core, but at most one per ``_AUTO_CHUNK_ROWS``
-    trajectories (and at least one)."""
-    return min(_usable_cores(), max(1, n_traj // _AUTO_CHUNK_ROWS))
+def _auto_workers(n_rows: int) -> int:
+    """One runner per usable core, but at most one per block of
+    ``_MC_BLOCK_ROWS`` rows (and at least one)."""
+    return min(_usable_cores(), max(1, -(-n_rows // _MC_BLOCK_ROWS)))
 
 
-@contextmanager
-def _mc_estimator(model: PopdmpModel, policy, n_traj: int, horizon: float | None,
-                  workers: int | None):
-    """Yield ``estimate(x0, seed) -> (mean, stderr)`` of the discounted cost
-    from each initial observation, as ``evaluate_policy_mc`` documents it.
+def _int_column(values) -> np.ndarray:
+    """Integers as an int64 array when they all fit, else as Python ints
+    (an object array), which ``_uint32_words`` reads alike."""
+    values = [int(v) for v in values]
+    fits = all(0 <= v < 2**63 for v in values)
+    return np.array(values, dtype=np.int64 if fits else object)
 
-    The policy rule, the path tables, the chunk layout and the thread pool
-    are built once and shared by every estimate.
+
+def _mc_estimates(model: PopdmpModel, policy, observations, seeds, n_traj: int,
+                  horizon: float | None, workers: int | None) -> list[tuple[float, float]]:
+    """(mean, stderr) of the discounted cost from each initial observation,
+    its trajectories drawing streams ``(seeds[k], i)``, as
+    ``evaluate_policy_mc`` documents it.
+
+    The trajectories of all observations form one batch, row
+    ``k * n_traj + i`` being trajectory i from observation k, cut into
+    contiguous blocks and run by ``solver._map_threaded``.  Rows are
+    independent, so each estimate is bit for bit its observation's alone.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
@@ -726,53 +800,52 @@ def _mc_estimator(model: PopdmpModel, policy, n_traj: int, horizon: float | None
         raise ValueError(f"workers must be at least 1, got {workers}")
     rule = _policy_rule(policy)
     tables = SimTables(model, horizon)
+    probs = np.array([initial_belief(model, x0).probs for x0 in observations])
+    seeds = _int_column(seeds)
+    n_rows = len(probs) * n_traj
+    if n_rows == 0:
+        return []
     if not isinstance(policy, (GridPolicy, RelaxedControl)):
         if workers is not None and workers > 1:
             warnings.warn(f"workers={workers} ignored: a callable policy runs single-threaded",
-                          RuntimeWarning, stacklevel=4)
+                          RuntimeWarning, stacklevel=3)
         workers = 1
-    elif workers is None:
-        workers = _auto_workers(n_traj)
-    bounds = np.linspace(0, n_traj, min(int(workers), n_traj) + 1).astype(int)
-    chunks = list(zip(bounds[:-1], bounds[1:]))
+    n_blocks = min(n_rows, max(-(-n_rows // _MC_BLOCK_ROWS), workers or 1))
+    runners = _auto_workers(n_rows) if workers is None else min(int(workers), n_blocks)
+    bounds = np.linspace(0, n_rows, n_blocks + 1).astype(int)
 
-    def estimate(x0, seed: int) -> tuple[float, float]:
-        mu0 = initial_belief(model, x0)
+    def run_block(block: tuple[int, int]) -> np.ndarray:
+        obs, index = np.divmod(np.arange(*block), n_traj)
+        return _simulate_batch(rule, tables, _StreamBank(seeds[obs], index), probs[obs]).costs
 
-        def run_chunk(lo: int, hi: int) -> np.ndarray:
-            return _simulate_batch(rule, tables, _StreamBank(seed, np.arange(lo, hi)), mu0).costs
-
-        rest = [pool.submit(run_chunk, lo, hi) for lo, hi in chunks[1:]]
-        costs = np.concatenate([run_chunk(*chunks[0])] + [f.result() for f in rest])
-        mean = float(costs.mean())
-        stderr = float(costs.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
-        return mean, stderr
-
-    # a pool starts its threads on submit, so one chunk starts none
-    with ThreadPoolExecutor(max_workers=max(1, len(chunks) - 1)) as pool:
-        yield estimate
+    costs = np.concatenate(_map_threaded(run_block, list(zip(bounds[:-1], bounds[1:])), runners))
+    out = []
+    for row in costs.reshape(len(probs), n_traj):
+        stderr = float(row.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
+        out.append((float(row.mean()), stderr))
+    return out
 
 
 def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
                        horizon: float | None = None, workers: int | None = None):
     """Sample mean and standard error of the discounted cost under a policy.
 
-    The trajectories are split into one contiguous chunk per worker thread
-    (never more chunks than trajectories); ``workers=None`` means one per
-    usable core, capped at one per ``_AUTO_CHUNK_ROWS`` (12,500)
-    trajectories.  The calling thread runs the first chunk and a pool of
-    ``workers - 1`` threads the rest.  Trajectory ``i`` always uses stream
-    (seed, i), so the result is independent of chunking and worker count.
-    A callable policy assigns control ids as it meets them and runs in one
-    chunk, so an explicit ``workers > 1`` then warns and runs single-threaded.
+    Trajectory ``i`` uses stream (seed, i), so the result does not depend on
+    how the trajectories are laid out.  They run in contiguous blocks of at
+    most ``_MC_BLOCK_ROWS`` (18,750) rows, cut evenly, but in at least
+    ``workers`` blocks and never more blocks than trajectories.  The blocks
+    are handed out in order to ``workers`` runners, the calling thread and a
+    pool of ``workers - 1`` threads; ``workers=None`` means one runner per
+    usable core, capped at the number of blocks.  A callable policy assigns
+    control ids as it meets them and runs on the calling thread alone, so an
+    explicit ``workers > 1`` then warns.
     """
-    with _mc_estimator(model, policy, n_traj, horizon, workers) as estimate:
-        return estimate(x0, seed)
+    return _mc_estimates(model, policy, [x0], [seed], n_traj, horizon, workers)[0]
 
 
 @dataclass
 class CrossCheckRow:
-    x0: float
+    x0: float | list[float]  # the observation; a float in one dimension
     mc_mean: float
     stderr: float
     mdp_value: float
@@ -801,6 +874,12 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
     z-scores also carry the gap between the two filters, which shrinks with
     the bandwidth.
 
+    The Monte Carlo side runs every observation's ``n_traj`` trajectories as
+    one batch: observation k's use streams (seed + k, i), so each row is
+    bit for bit ``evaluate_policy_mc(model, x0, policy, n_traj, seed + k)``.
+    The batch is cut into blocks and run as ``evaluate_policy_mc`` runs its
+    trajectories, ``workers`` included; blocks may span observations.
+
     The z denominator combines the Monte Carlo standard error with a fixed
     numerical-accuracy allowance of ``1e-3 * (1 + |value|)`` covering
     quadrature and path-interpolation bias on both sides; without it,
@@ -812,13 +891,15 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
     sweep.require_built_for(model, policy.grid, policy.family)
     v_policy = sweep.policy_fixed_point(policy.argmins)
     vg = ValueGrid(policy.grid, v_policy)
+    observations = list(observations)
+    v_mdp = [interpolate(vg, initial_belief(model, x0)) for x0 in observations]
+    estimates = _mc_estimates(model, policy, observations,
+                              [seed + k for k in range(len(observations))],
+                              n_traj, horizon, workers)
     rows = []
-    with _mc_estimator(model, policy, n_traj, horizon, workers) as estimate:
-        for k, x0 in enumerate(observations):
-            v_mdp = interpolate(vg, initial_belief(model, x0))
-            mc, se = estimate(x0, seed + k)
-            diff = mc - v_mdp
-            z = diff / math.hypot(se, 1e-3 * (1.0 + abs(v_mdp)))
-            rows.append(CrossCheckRow(x0=float(np.atleast_1d(x0)[0]), mc_mean=mc, stderr=se,
-                                      mdp_value=v_mdp, z=z))
+    for x0, v, (mc, se) in zip(observations, v_mdp, estimates):
+        z = (mc - v) / math.hypot(se, 1e-3 * (1.0 + abs(v)))
+        x = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
+        rows.append(CrossCheckRow(x0=x[0] if len(x) == 1 else x, mc_mean=mc, stderr=se,
+                                  mdp_value=v, z=z))
     return CrossCheckReport(rows=rows)

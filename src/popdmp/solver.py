@@ -71,11 +71,13 @@ _MIN_THREADED_POINTS = 150
 def _map_threaded(fn, items: list, runners: int) -> list:
     """``[fn(x) for x in items]``, with the items handed out one at a time,
     in order, to ``runners`` runners: the calling thread and a pool of
-    ``runners - 1`` threads (the layout of ``sim._mc_estimator``).  Each
-    result is what ``fn`` returns for its item alone, so the list does not
-    depend on ``runners``.  Once a call raises, no further item is started;
-    the calls in flight finish, and the error of the lowest failed index is
-    raised, which is the one a serial loop would meet first."""
+    ``runners - 1`` threads.  The candidates of a ``BellmanSweep`` and the
+    row blocks of a Monte Carlo run (``sim._mc_estimates``) both run
+    through it.  Each result is what ``fn`` returns for its item alone, so
+    the list does not depend on ``runners``.  Once a call raises, no
+    further item is started; the calls in flight finish, and the error of
+    the lowest failed index is raised, which is the one a serial loop would
+    meet first."""
     todo: queue.SimpleQueue = queue.SimpleQueue()
     for k in range(len(items)):
         todo.put(k)

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -31,28 +32,50 @@ _stream_ids = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**40),
                         st.integers(0, 2**80))
 
 
+def _id_array(values) -> np.ndarray:
+    return np.array(values, dtype=object if max(values) >= 2**63 else np.int64)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_stream_ids, st.lists(_stream_ids, min_size=1, max_size=6),
        st.sampled_from([1, 2, 5, 16, 64]), st.data())
 def test_stream_bank_draws_the_numpy_streams(seed, indices, block, data):
     # ragged takes (random row subsets, rows recurring across refills, so
     # that refills are partial; one to three adjacent draws per row, so that
-    # a refill may keep unread draws) against RngStream(seed, i).generator()
-    big = max(indices) >= 2**63
+    # a refill may keep unread draws) against RngStream(seed, i).generator(),
+    # with one seed for every row or one per row, mixed across the word-count
+    # edges 2**32 - 1 | 2**32
     n = len(indices)
+    seeds = data.draw(st.one_of(
+        st.just(seed),
+        st.lists(st.one_of(st.just(seed), st.sampled_from([2**32 - 1, 2**32]), _stream_ids),
+                 min_size=n, max_size=n)))
+    row_seeds = seeds if isinstance(seeds, list) else [seed] * n
     takes = data.draw(st.lists(st.tuples(
         st.lists(st.integers(0, n - 1), unique=True),
         st.integers(1, min(block, 3))), max_size=90))
     used = np.zeros(n, dtype=np.int64)
-    want = [P.RngStream(seed, i).generator().random(3 * len(takes)) for i in indices]
+    want = [P.RngStream(s, i).generator().random(3 * len(takes))
+            for s, i in zip(row_seeds, indices)]
     with mock.patch.object(sim, "_BANK_BLOCK", block):
-        bank = sim._StreamBank(seed, np.array(indices, dtype=object if big else np.int64))
+        bank = sim._StreamBank(_id_array(seeds) if isinstance(seeds, list) else seeds,
+                               _id_array(indices))
         for rows, k in takes:
             rows = np.array(rows, dtype=np.int64)
             got = bank.take(rows, k)
             expected = [want[r][used[r]:used[r] + k] for r in rows]
             assert np.array_equal(got, np.reshape(expected, (rows.size, k)).T)
             used[rows] += k
+
+
+def test_stream_bank_draws_mixed_seeds_across_word_counts():
+    # per-row seeds of one, two and three words beside indices of one and two
+    seeds = np.array([2**32 - 1, 2**32, 5, 2**64 + 5, 0], dtype=object)
+    indices = np.array([0, 2**32, 2**32 - 1, 1, 2**40])
+    bank = sim._StreamBank(seeds, indices)
+    got = np.concatenate([bank.take(np.arange(5), 3) for _ in range(12)])
+    for r, (s, i) in enumerate(zip(seeds, indices)):
+        assert np.array_equal(got[:, r], P.RngStream(s, int(i)).generator().random(36))
 
 
 def test_stream_bank_rejects_negative_seeds_and_indices():
@@ -67,8 +90,9 @@ class _GeneratorBank:
     """Reference bank: one numpy generator per row, one scalar draw per row
     and draw."""
 
-    def __init__(self, seed, indices):
-        self._gens = [P.RngStream(seed, int(i)).generator() for i in indices]
+    def __init__(self, seeds, indices):
+        seeds = np.broadcast_to(np.asarray(seeds), np.shape(indices))
+        self._gens = [P.RngStream(int(s), int(i)).generator() for s, i in zip(seeds, indices)]
         self.n = len(self._gens)
 
     def take(self, rows, k=1):
@@ -326,10 +350,12 @@ def test_worker_count_does_not_change_results(steering, family, solved15):
 
 
 def test_default_workers_are_one_per_core_with_a_chunk_floor(monkeypatch):
+    # one runner per block of at most _MC_BLOCK_ROWS rows, up to the core count
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    rows = sim._AUTO_CHUNK_ROWS
+    rows = sim._MC_BLOCK_ROWS
     assert sim._auto_workers(1) == 1
-    assert sim._auto_workers(2 * rows - 1) == 1
+    assert sim._auto_workers(rows) == 1
+    assert sim._auto_workers(rows + 1) == 2
     assert sim._auto_workers(2 * rows) == 2
     assert sim._auto_workers(100 * rows) == 8
 
@@ -384,7 +410,7 @@ def test_mc_results_are_pinned_at_every_worker_count(pinned_runs, workers):
 
 
 def test_more_threads_than_cores_under_fast_switching_match_one(pinned_runs):
-    # four chunks share the lazily built path tables and the policy lookup
+    # four blocks share the lazily built path tables and the policy lookup
     # while the interpreter switches threads every microsecond; a lost or
     # mixed-up update would move a bit
     model, x0, policy, seed = pinned_runs["mixture"]
@@ -401,6 +427,68 @@ def test_more_threads_than_cores_under_fast_switching_match_one(pinned_runs):
         sys.setswitchinterval(old)
     assert not runner.is_alive()
     assert got["mc"] == ref
+
+
+# observations of each pinned run's model for the cross-check tests
+_CROSS_OBSERVATIONS = {
+    "bang": [-2.0, 0.0, 2.0],
+    "mixture": [-2.0, 0.0, 2.0],
+    "hazard table": [2.0, 0.0, -1.0],
+    "planar": [np.array([2.0, 1.0]), np.array([0.0, 0.0])],
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_sweeps(pinned_runs, solved15):
+    """The Bellman sweep of each pinned run's policy."""
+    return {name: solved15[3] if name == "bang" else P.BellmanSweep(model, policy.grid,
+                                                                     policy.family)
+            for name, (model, _, policy, _) in pinned_runs.items()}
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_cross_check_rows_are_each_observation_run_alone(pinned_runs, pinned_sweeps, block,
+                                                         workers):
+    # a cross-check runs all its observations as one batch, in blocks that
+    # split and span observations (None: one block of all rows); each row's
+    # (mean, stderr) is bit for bit its observation's run alone.  23 is not a
+    # multiple of 7, and a short horizon keeps the path tables, built anew by
+    # every call, small
+    n_traj, horizon = 23, 4.0
+    for name, (model, _, policy, seed) in pinned_runs.items():
+        obs = _CROSS_OBSERVATIONS[name]
+        alone = [P.evaluate_policy_mc(model, x0, policy, n_traj, seed + k, horizon, workers=1)
+                 for k, x0 in enumerate(obs)]
+        with mock.patch.object(sim, "_MC_BLOCK_ROWS", block or len(obs) * n_traj):
+            rows = P.cross_check(model, policy, obs, n_traj, seed=seed, horizon=horizon,
+                                 workers=workers, sweep=pinned_sweeps[name]).rows
+        assert [(r.mc_mean, r.stderr) for r in rows] == alone, name
+
+
+# bytes per row that one engine batch may hold at its peak: 563 measured
+# (tracemalloc; numpy 2.4, Python 3.11), plus 5%.  A jump's pair kernel rows
+# and positions kept alive into the next round measured 619; the per-jump
+# step that kept its (m, d, d) kernel rows, priors and all-state positions
+# alive measured 872.
+_ENGINE_BYTES_PER_ROW = 590
+
+
+def test_engine_working_set_per_row_is_bounded(steering):
+    family = P.switching_family(taus=[0.5])
+    vg, _ = P.value_iteration(steering, P.build_simplex_grid(3, 15), family, tol=1e-4)
+    rule = sim._policy_rule(P.extract_policy(vg, family))
+    tables = sim.SimTables(steering)
+    mu0 = P.initial_belief(steering, 2.0)
+    n = 12_500
+    sim._simulate_batch(rule, tables, sim._StreamBank(3, np.arange(100)), mu0)  # builds the tables
+    tracemalloc.start()
+    try:
+        sim._simulate_batch(rule, tables, sim._StreamBank(3, np.arange(n)), mu0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= _ENGINE_BYTES_PER_ROW
 
 
 def test_workers_with_a_callable_policy_warn_and_run_single_threaded(steering):
@@ -461,6 +549,9 @@ def test_cross_check_constant_stay_policy(steering, family):
     policy = P.extract_policy(stay_everywhere, family)
     report = P.cross_check(steering, policy, [-2.0, 0.0, 2.0], n_traj=4_000, seed=23)
     assert report.max_abs_z < 3.0
+    # a one-dimensional observation stays a float
+    assert [(type(r.x0), r.x0) for r in report.rows] == [(float, -2.0), (float, 0.0),
+                                                          (float, 2.0)]
 
 
 def test_default_horizon_bound(steering):
@@ -654,3 +745,5 @@ def test_planar_state_space_end_to_end():
     cc = P.cross_check(m, policy, [np.array([0.0, 0.0]), np.array([2.0, 1.0])],
                        n_traj=800, seed=41)
     assert cc.max_abs_z < 4.0
+    # a row carries its whole observation
+    assert [r.x0 for r in cc.rows] == [[0.0, 0.0], [2.0, 1.0]]
