@@ -2,7 +2,7 @@
 filter / crosscheck / sweep pipelines.
 
 Configs are YAML.  The shared value flags (``--grid-k``, ``--tol``,
-``--sigma``, ``--seed``, ``--workers``) form one more override document,
+``--sigma``, ``--seed``) form one more override document,
 merged after the file, so flag and file values pass the same checks: one
 row of ``_RULES`` per key, for every command.  Every run writes ``resolved_config.yaml`` into the output directory with all
 defaults filled in, so runs are self-describing and the echo is
@@ -136,7 +136,6 @@ _DEFAULTS = {
         "x0": 0.0,
         "policy": {"kind": "solved", "a": 0.0, "tau": 0.5},
         "record_trajectories": 10,
-        "workers": "auto",
     },
     "crosscheck": {"observations": [-2.0, 0.0, 2.0]},
     "sweep": {"sigmas": [0.2, 0.1, 0.05], "grid_k": 15},
@@ -167,6 +166,9 @@ class RunConfig:
         key = _non_finite_key(self.resolved)
         if key is not None:
             raise ConfigError(f"{key} is non-finite")
+        key = _unknown_key(self.resolved, _DEFAULTS)
+        if key is not None:
+            raise ConfigError(f"{key} is not a config key")
         sources = [_lookup(self.resolved, f"model.{k}") for k in ("builtin", "inline")]
         if sum(v is not None for v in sources) != 1:
             raise ConfigError("model must name exactly one source: 'builtin' or 'inline'")
@@ -239,11 +241,6 @@ class RunConfig:
         h = self.resolved["sim"]["horizon"]
         return None if h == "auto" else float(h)
 
-    def workers(self) -> int | None:
-        """Simulation threads; None, the engine's default layout, for 'auto'."""
-        w = self.resolved["sim"]["workers"]
-        return None if w == "auto" else w
-
 
 def load_config(path, flags: dict | None = None) -> RunConfig:
     """Parse a YAML config and merge it, then the ``flags`` override
@@ -279,6 +276,22 @@ def _non_finite_key(node, key: str = "") -> str | None:
     else:
         return None
     return next(filter(None, (_non_finite_key(v, k) for k, v in items)), None)
+
+
+def _unknown_key(node: dict, defaults: dict, key: str = "") -> str | None:
+    """The dotted key of the first entry of ``node`` that ``defaults`` does
+    not name, or None.  Only mapping values of mapping defaults are walked
+    (not the list form of ``solver.family.taus``), and ``model.inline`` is
+    left to ``table_model``, which rejects unknown fields itself."""
+    for k, v in node.items():
+        dotted = f"{key}.{k}" if key else str(k)
+        if k not in defaults and dotted != "model.inline":
+            return dotted
+        if isinstance(v, dict) and isinstance(defaults.get(k), dict):
+            found = _unknown_key(v, defaults[k], dotted)
+            if found is not None:
+                return found
+    return None
 
 
 def _lookup(doc, key: str):
@@ -339,14 +352,13 @@ _RULES = {
     "sim.policy.a": (lambda v: math.isfinite(_number(v)), "a finite number"),
     "sim.policy.tau": _POSITIVE,
     "sim.record_trajectories": _COUNT,
-    "sim.workers": (lambda v: v == "auto" or (_is_int(v) and v >= 1),
-                    "'auto' or a positive integer"),
-    "crosscheck.observations": (lambda v: isinstance(v, list)
+    "crosscheck.observations": (lambda v: isinstance(v, list) and len(v) > 0
                                 and not any(math.isnan(_number(x)) for x in v),
-                                "a list of numbers"),
-    "sweep.sigmas": (lambda v: isinstance(v, list) and all(_is_real(s) and s > 0 for s in v)
+                                "a non-empty list of numbers"),
+    "sweep.sigmas": (lambda v: isinstance(v, list) and len(v) > 0
+                     and all(_is_real(s) and s > 0 for s in v)
                      and all(b < a for a, b in zip(v, v[1:])),
-                     "a strictly decreasing list of positive bandwidths"),
+                     "a non-empty strictly decreasing list of positive bandwidths"),
     "sweep.grid_k": _POSITIVE_INT,
 }
 
@@ -386,7 +398,7 @@ def main():
 
 def _flag(convert):
     """A value-flag callback: the text as ``convert`` reads it, else the text
-    itself ('plain', 'auto', or a value the rule table rejects)."""
+    itself ('plain', or a value the rule table rejects)."""
 
     def callback(ctx, param, text):
         try:
@@ -398,8 +410,7 @@ def _flag(convert):
 
 
 # flag name -> config section of the key it overrides
-_FLAG_SECTIONS = {"grid_k": "solver", "tol": "solver", "sigma": "solver",
-                  "seed": "sim", "workers": "sim"}
+_FLAG_SECTIONS = {"grid_k": "solver", "tol": "solver", "sigma": "solver", "seed": "sim"}
 
 _shared = [
     click.option("--config", "config_path", type=click.Path(), required=True,
@@ -411,9 +422,6 @@ _shared = [
     click.option("--sigma", default=None, callback=_flag(float),
                  help="Override solver.sigma ('plain' or bandwidth)."),
     click.option("--seed", type=int, default=None, help="Override sim.seed."),
-    click.option("--workers", default=None, callback=_flag(int),
-                 help="Override sim.workers ('auto', one per usable core and 18.75k "
-                      "trajectories, or a count)."),
 ]
 
 
@@ -484,8 +492,7 @@ def simulate(cfg: RunConfig, out: Path):
     horizon = cfg.horizon()
     n_traj = int(sim_cfg["n_traj"])
     seed_v = int(sim_cfg["seed"])
-    mean, se = evaluate_policy_mc(model, x0, policy, n_traj, seed_v, horizon=horizon,
-                                  workers=cfg.workers())
+    mean, se = evaluate_policy_mc(model, x0, policy, n_traj, seed_v, horizon=horizon)
     write_csv(out / "evaluation.csv", ["x0", "n_traj", "seed", "mean_cost", "stderr"],
               [[_fmt(x0), str(n_traj), str(seed_v), _fmt(mean), _fmt(se)]])
 
@@ -546,8 +553,7 @@ def crosscheck(cfg: RunConfig, out: Path):
     policy = extract_policy(vg, family)
     sim_cfg = cfg.resolved["sim"]
     report_cc = cross_check(model, policy, observations, n_traj=int(sim_cfg["n_traj"]),
-                            seed=int(sim_cfg["seed"]), horizon=cfg.horizon(),
-                            workers=cfg.workers(), sweep=sweep)
+                            seed=int(sim_cfg["seed"]), horizon=cfg.horizon(), sweep=sweep)
     write_csv(out / "zscores.csv", ["x0", "mc_mean", "stderr", "mdp_value", "z"],
               ([_fmt(r.x0), _fmt(r.mc_mean), _fmt(r.stderr), _fmt(r.mdp_value), _fmt(r.z)]
                for r in report_cc.rows))

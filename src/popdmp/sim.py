@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -769,12 +768,6 @@ def simulate_trajectory(model: PopdmpModel, x0, policy, rng,
 _MC_BLOCK_ROWS = 18_750
 
 
-def _auto_workers(n_rows: int) -> int:
-    """One runner per usable core, but at most one per block of
-    ``_MC_BLOCK_ROWS`` rows (and at least one)."""
-    return min(_usable_cores(), max(1, -(-n_rows // _MC_BLOCK_ROWS)))
-
-
 def _int_column(values) -> np.ndarray:
     """Integers as an int64 array when they all fit, else as Python ints
     (an object array), which ``_uint32_words`` reads alike."""
@@ -784,20 +777,19 @@ def _int_column(values) -> np.ndarray:
 
 
 def _mc_estimates(model: PopdmpModel, policy, observations, seeds, n_traj: int,
-                  horizon: float | None, workers: int | None) -> list[tuple[float, float]]:
+                  horizon: float | None) -> list[tuple[float, float]]:
     """(mean, stderr) of the discounted cost from each initial observation,
     its trajectories drawing streams ``(seeds[k], i)``, as
     ``evaluate_policy_mc`` documents it.
 
     The trajectories of all observations form one batch, row
     ``k * n_traj + i`` being trajectory i from observation k, cut into
-    contiguous blocks and run by ``solver._map_threaded``.  Rows are
-    independent, so each estimate is bit for bit its observation's alone.
+    blocks that ``solver._map_threaded`` hands to the runners, as
+    ``evaluate_policy_mc`` describes.  Rows are independent, so each
+    estimate is bit for bit its observation's alone.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
-    if workers is not None and not workers >= 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     rule = _policy_rule(policy)
     tables = SimTables(model, horizon)
     probs = np.array([initial_belief(model, x0).probs for x0 in observations])
@@ -805,13 +797,9 @@ def _mc_estimates(model: PopdmpModel, policy, observations, seeds, n_traj: int,
     n_rows = len(probs) * n_traj
     if n_rows == 0:
         return []
-    if not isinstance(policy, (GridPolicy, RelaxedControl)):
-        if workers is not None and workers > 1:
-            warnings.warn(f"workers={workers} ignored: a callable policy runs single-threaded",
-                          RuntimeWarning, stacklevel=3)
-        workers = 1
-    n_blocks = min(n_rows, max(-(-n_rows // _MC_BLOCK_ROWS), workers or 1))
-    runners = _auto_workers(n_rows) if workers is None else min(int(workers), n_blocks)
+    runners = (min(_usable_cores(), -(-n_rows // _MC_BLOCK_ROWS))
+               if isinstance(policy, (GridPolicy, RelaxedControl)) else 1)
+    n_blocks = min(n_rows, runners * -(-n_rows // (runners * _MC_BLOCK_ROWS)))
     bounds = np.linspace(0, n_rows, n_blocks + 1).astype(int)
 
     def run_block(block: tuple[int, int]) -> np.ndarray:
@@ -827,20 +815,18 @@ def _mc_estimates(model: PopdmpModel, policy, observations, seeds, n_traj: int,
 
 
 def evaluate_policy_mc(model: PopdmpModel, x0, policy, n_traj: int, seed: int,
-                       horizon: float | None = None, workers: int | None = None):
+                       horizon: float | None = None):
     """Sample mean and standard error of the discounted cost under a policy.
 
     Trajectory ``i`` uses stream (seed, i), so the result does not depend on
-    how the trajectories are laid out.  They run in contiguous blocks of at
-    most ``_MC_BLOCK_ROWS`` (18,750) rows, cut evenly, but in at least
-    ``workers`` blocks and never more blocks than trajectories.  The blocks
-    are handed out in order to ``workers`` runners, the calling thread and a
-    pool of ``workers - 1`` threads; ``workers=None`` means one runner per
-    usable core, capped at the number of blocks.  A callable policy assigns
-    control ids as it meets them and runs on the calling thread alone, so an
-    explicit ``workers > 1`` then warns.
+    how the trajectories are laid out.  Of ``rows`` trajectories, ``runners =
+    min(usable cores, ceil(rows / _MC_BLOCK_ROWS))`` runners (one for a
+    callable policy, which assigns control ids as it meets them) run
+    ``runners * ceil(rows / (runners * _MC_BLOCK_ROWS))`` equal contiguous
+    blocks, never more blocks than rows, so no runner idles through an odd
+    last block.  The process's CPU affinity (``taskset``) limits the cores.
     """
-    return _mc_estimates(model, policy, [x0], [seed], n_traj, horizon, workers)[0]
+    return _mc_estimates(model, policy, [x0], [seed], n_traj, horizon)[0]
 
 
 @dataclass
@@ -863,7 +849,7 @@ class CrossCheckReport:
 
 def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: int,
                 seed: int = 0, horizon: float | None = None,
-                workers: int | None = None, sweep: BellmanSweep | None = None) -> CrossCheckReport:
+                sweep: BellmanSweep | None = None) -> CrossCheckReport:
     """Compare Monte Carlo continuous-time cost against the filtered-MDP
     policy value (the T_f fixed point) at each initial observation.
 
@@ -878,7 +864,7 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
     one batch: observation k's use streams (seed + k, i), so each row is
     bit for bit ``evaluate_policy_mc(model, x0, policy, n_traj, seed + k)``.
     The batch is cut into blocks and run as ``evaluate_policy_mc`` runs its
-    trajectories, ``workers`` included; blocks may span observations.
+    trajectories; blocks may span observations.
 
     The z denominator combines the Monte Carlo standard error with a fixed
     numerical-accuracy allowance of ``1e-3 * (1 + |value|)`` covering
@@ -895,7 +881,7 @@ def cross_check(model: PopdmpModel, policy: GridPolicy, observations, n_traj: in
     v_mdp = [interpolate(vg, initial_belief(model, x0)) for x0 in observations]
     estimates = _mc_estimates(model, policy, observations,
                               [seed + k for k in range(len(observations))],
-                              n_traj, horizon, workers)
+                              n_traj, horizon)
     rows = []
     for x0, v, (mc, se) in zip(observations, v_mdp, estimates):
         z = (mc - v) / math.hypot(se, 1e-3 * (1.0 + abs(v)))

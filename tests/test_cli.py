@@ -366,10 +366,12 @@ def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
     ("solve", {}, ["--sigma", "abc"], "solver.sigma"),
     ("solve", {}, ["--sigma", "inf"], "solver.sigma"),
     ("solve", {}, ["--tol", "inf"], "solver.tol"),
+    # a key the defaults do not name, at any depth, fails: a config that still
+    # sets the removed thread count, whatever its value, and a typo
     *[("simulate", {"sim": {"workers": bad}}, [], "sim.workers")
       for bad in (0, -1, 1.5, "abc", True)],
-    ("simulate", {}, ["--workers", "0"], "sim.workers"),
-    ("simulate", {}, ["--workers", "abc"], "sim.workers"),
+    ("solve", {"sim": {"wrokers": 3}}, [], "sim.wrokers"),
+    ("solve", {"bogus": 1}, [], "bogus"),
     ("simulate", {"sim": {"policy": {"kind": "constant", "a": 2.0}}}, [], "sim.policy"),
     ("simulate", {"sim": {"policy": {"kind": "switch", "a": -3.0, "tau": 0.5}}}, [],
      "sim.policy"),
@@ -398,6 +400,13 @@ def test_crosscheck_builds_the_operator_once(tmp_path, monkeypatch):
     ("solve", {"model": {"inline": dict(INLINE_STEERING, hazzard=1.0)}}, [], "hazzard"),
     ("solve", {"model": {"inline": {k: v for k, v in INLINE_STEERING.items() if k != "noise"}}},
      [], "noise_offsets"),
+    ("solve", {"solver": dict(FAST_SOLVER, quadrature={"hh": 0.01})}, [], "solver.quadrature.hh"),
+    ("solve", {"solver": dict(FAST_SOLVER, family={"taus": {"start": 0.5, "stop": 0.5,
+                                                            "step": 0.5, "n": 1}})}, [],
+     "solver.family.taus.n"),
+    # a cross-check of no observation and a sweep of no bandwidth check nothing
+    ("crosscheck", {"crosscheck": {"observations": []}}, [], "crosscheck.observations"),
+    ("sweep", {"sweep": {"sigmas": [], "grid_k": 3}}, [], "sweep.sigmas"),
 ])
 def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key):
     # each of these used to reach the library and end in a traceback
@@ -410,6 +419,14 @@ def test_invalid_inputs_end_in_a_config_error(tmp_path, command, doc, args, key)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert key in result.output
+
+
+def test_there_is_no_thread_count_flag(tmp_path):
+    # the process's CPU affinity is the one control over threads
+    cfg_path = write_cfg(tmp_path / "cfg.yaml", {"output": {"directory": str(tmp_path / "out")}})
+    result = CliRunner().invoke(main, ["simulate", "--config", cfg_path, "--workers", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--workers" in result.output
 
 
 @pytest.mark.parametrize("section, value", [("model", 5), ("solver", 5), ("sim", [1, 2])])

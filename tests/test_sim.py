@@ -1,10 +1,8 @@
 import dataclasses
 import math
-import os
 import sys
 import threading
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -338,26 +336,48 @@ def test_generic_belief_policy_drives_the_engine(steering):
     assert traj.controls[0].pieces[0].actions == ((1.0,),)
 
 
-def test_worker_count_does_not_change_results(steering, family, solved15):
+def test_worker_count_does_not_change_results(steering, family, solved15, monkeypatch):
     _, vg, _, _ = solved15
     policy = P.extract_policy(vg, family)
-    a = P.evaluate_policy_mc(steering, 2.0, policy, 400, seed=9, workers=1)
-    b = P.evaluate_policy_mc(steering, 2.0, policy, 400, seed=9, workers=3)
-    assert a == b
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="workers"):
-            P.evaluate_policy_mc(steering, 2.0, policy, 400, seed=9, workers=bad)
+    monkeypatch.setattr(sim, "_MC_BLOCK_ROWS", 100)
+    got = []
+    for cores in (1, 3):  # 4 blocks on one runner, 6 on three
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        got.append(P.evaluate_policy_mc(steering, 2.0, policy, 400, seed=9))
+    assert got[0] == got[1]
 
 
-def test_default_workers_are_one_per_core_with_a_chunk_floor(monkeypatch):
-    # one runner per block of at most _MC_BLOCK_ROWS rows, up to the core count
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    rows = sim._MC_BLOCK_ROWS
-    assert sim._auto_workers(1) == 1
-    assert sim._auto_workers(rows) == 1
-    assert sim._auto_workers(rows + 1) == 2
-    assert sim._auto_workers(2 * rows) == 2
-    assert sim._auto_workers(100 * rows) == 8
+def test_default_workers_are_one_per_core_with_a_chunk_floor(steering, monkeypatch):
+    # min(cores, ceil(rows / block)) runners, and a multiple of them of
+    # equal blocks of at most ``block`` rows, never more blocks than rows
+    layouts = []
+
+    def record(fn, items, runners):  # the layout, without simulating it
+        layouts.append((runners, [hi - lo for lo, hi in items]))
+        return [np.zeros(hi - lo) for lo, hi in items]
+
+    monkeypatch.setattr(sim, "_map_threaded", record)
+    block = sim._MC_BLOCK_ROWS
+    for cores, rows, runners, blocks in [
+        (2, 1, 1, 1),
+        (2, block, 1, 1),
+        (2, block + 1, 2, 2),
+        (2, 5 * block // 2, 2, 4),  # 2.5 blocks' worth: 4 blocks, so no runner idles
+        (2, 4 * block, 2, 4),  # a 3x25k cross-check
+        (8, 100 * block, 8, 104),
+    ]:
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        P.evaluate_policy_mc(steering, 2.0, P.RelaxedControl.constant(0.0), rows, seed=9)
+        got_runners, sizes = layouts.pop()
+        assert (got_runners, len(sizes)) == (runners, blocks), rows
+        assert sum(sizes) == rows and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= block
+    # never more blocks than rows
+    monkeypatch.setattr(sim, "_MC_BLOCK_ROWS", 1)
+    for cores, rows in [(2, 5), (8, 3)]:
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        P.evaluate_policy_mc(steering, 2.0, P.RelaxedControl.constant(0.0), rows, seed=9)
+        assert layouts.pop() == (min(cores, rows), [1] * rows)
 
 
 def _solved_policy(model, family, k):
@@ -402,25 +422,33 @@ _PINNED = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2, None])
-def test_mc_results_are_pinned_at_every_worker_count(pinned_runs, workers):
+@pytest.mark.parametrize("cores", [1, 2, 4, None])
+def test_mc_results_are_pinned_at_every_worker_count(pinned_runs, cores, monkeypatch):
+    # 300-row blocks, four on one, two or four runners; None: this machine's
+    # cores and the default blocks
+    if cores is not None:
+        monkeypatch.setattr(sim, "_MC_BLOCK_ROWS", 300)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
     for name, (model, x0, policy, seed) in pinned_runs.items():
-        got = P.evaluate_policy_mc(model, x0, policy, 1000, seed, workers=workers)
+        got = P.evaluate_policy_mc(model, x0, policy, 1000, seed)
         assert got == _PINNED[name], name
 
 
-def test_more_threads_than_cores_under_fast_switching_match_one(pinned_runs):
+def test_more_threads_than_cores_under_fast_switching_match_one(pinned_runs, monkeypatch):
     # four blocks share the lazily built path tables and the policy lookup
     # while the interpreter switches threads every microsecond; a lost or
     # mixed-up update would move a bit
     model, x0, policy, seed = pinned_runs["mixture"]
-    ref = P.evaluate_policy_mc(model, x0, policy, 400, seed, workers=1)
+    monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
+    ref = P.evaluate_policy_mc(model, x0, policy, 400, seed)
+    monkeypatch.setattr(sim, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(sim, "_MC_BLOCK_ROWS", 100)
     got = {}
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(target=lambda: got.update(
-            mc=P.evaluate_policy_mc(model, x0, policy, 400, seed, workers=4)), daemon=True)
+            mc=P.evaluate_policy_mc(model, x0, policy, 400, seed)), daemon=True)
         runner.start()
         runner.join(timeout=120)
     finally:
@@ -447,22 +475,24 @@ def pinned_sweeps(pinned_runs, solved15):
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
-@pytest.mark.parametrize("workers", [1, 2, None])
+@pytest.mark.parametrize("cores", [1, 2, 4, None])
 def test_cross_check_rows_are_each_observation_run_alone(pinned_runs, pinned_sweeps, block,
-                                                         workers):
+                                                         cores, monkeypatch):
     # a cross-check runs all its observations as one batch, in blocks that
     # split and span observations (None: one block of all rows); each row's
     # (mean, stderr) is bit for bit its observation's run alone.  23 is not a
     # multiple of 7, and a short horizon keeps the path tables, built anew by
     # every call, small
     n_traj, horizon = 23, 4.0
+    if cores is not None:  # None: this machine's cores
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
     for name, (model, _, policy, seed) in pinned_runs.items():
         obs = _CROSS_OBSERVATIONS[name]
-        alone = [P.evaluate_policy_mc(model, x0, policy, n_traj, seed + k, horizon, workers=1)
+        alone = [P.evaluate_policy_mc(model, x0, policy, n_traj, seed + k, horizon)
                  for k, x0 in enumerate(obs)]
         with mock.patch.object(sim, "_MC_BLOCK_ROWS", block or len(obs) * n_traj):
             rows = P.cross_check(model, policy, obs, n_traj, seed=seed, horizon=horizon,
-                                 workers=workers, sweep=pinned_sweeps[name]).rows
+                                 sweep=pinned_sweeps[name]).rows
         assert [(r.mc_mean, r.stderr) for r in rows] == alone, name
 
 
@@ -491,16 +521,21 @@ def test_engine_working_set_per_row_is_bounded(steering):
     assert peak / n <= _ENGINE_BYTES_PER_ROW
 
 
-def test_workers_with_a_callable_policy_warn_and_run_single_threaded(steering):
+def test_a_callable_policy_runs_on_the_calling_thread_at_any_core_count(steering,
+                                                                        monkeypatch):
+    threads = set()
+
     def rule(probs):
+        threads.add(threading.get_ident())
         return P.RelaxedControl.constant(0.0)
 
-    with pytest.warns(RuntimeWarning, match="workers=2 ignored"):
-        many = P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19, workers=2)
-    # the default, one worker per usable core, resolves to one without a warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert many == P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19)
+    monkeypatch.setattr(sim, "_MC_BLOCK_ROWS", 10)
+    got = []
+    for cores in (1, 4):
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        got.append(P.evaluate_policy_mc(steering, -2.0, rule, 50, seed=19))
+    assert got[0] == got[1]
+    assert threads == {threading.get_ident()}
 
 
 def test_always_left_from_the_left_plateau_is_deterministic(steering):
