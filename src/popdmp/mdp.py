@@ -311,8 +311,30 @@ def _time_classes(tb: CandidateTables,
     return rep[:d], rep[d:], cw
 
 
-# dense cells (1 MiB of float64) per row block of ``transition_matrix``
+# cells (1 MiB of float64) that ``transition_matrix`` holds at a time in
+# each of: a row chunk's products, a row block's posterior work, and the
+# dense block buffer
 _BLOCK_CELLS = 2**17
+
+
+def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat`` with row p exactly ``rows[p] @ mat`` computed alone.
+
+    The stacked product makes one vector-matrix product per row, so a row
+    rounds the same whichever rows share the call.  One product over many
+    rows may round a row differently when the rows are split, since BLAS
+    picks its kernel, and with it the summation order, by shape."""
+    return np.matmul(rows[:, None, :], mat)[:, 0]
+
+
+def _row_layout(n_cols: int, chunk_row_cells: int, block_row_cells: int) -> tuple[int, int]:
+    """Rows per block and per chunk of ``transition_matrix``.  A block takes
+    as many rows as keep its dense buffer (``n_cols`` cells a row) and its
+    posterior work (``block_row_cells``) within ``_BLOCK_CELLS`` each; a
+    chunk takes as many whole blocks as keep its products
+    (``chunk_row_cells``) within it.  Each takes at least one."""
+    block = max(1, min(_BLOCK_CELLS // n_cols, _BLOCK_CELLS // block_row_cells))
+    return block, block * max(1, _BLOCK_CELLS // (chunk_row_cells * block))
 
 
 def transition_matrix(ctx: StageContext, control: RelaxedControl,
@@ -334,79 +356,90 @@ def transition_matrix(ctx: StageContext, control: RelaxedControl,
     (``SimplexGrid.face``); the full locator would return the same nonzero
     vertices and weights bit for bit, plus vertices of weight exactly 0.  A
     single-state atom u yields the posterior e_u exactly (x/x) wherever it
-    is kept, so each row's mass, summed over its kept time classes, goes to
-    that vertex.
+    is kept, so its vertex is located once per call, and each row's mass,
+    summed over its kept time classes, goes to that vertex.
 
-    The matrix products (the beliefs against the class tensors, the
-    observation weights against those, and the single-state masses against
-    the class weights) run once over all rows, since BLAS may round a row
-    differently when the rows are split.  The row-wise work (masks,
-    posteriors, location) then runs on blocks of about ``_BLOCK_CELLS``
-    dense cells: each block's entries are added in place into one dense
-    (block rows x grid points) buffer, whose nonzero cells become that
-    block's CSR rows.  Every cell receives its terms in the same order
-    whatever the block size, so the matrix is bitwise independent of it.
-    The buffer holds about ``_BLOCK_CELLS`` cells (at least one row) for any
-    number of beliefs; memory is otherwise the products, of order beliefs
-    times time classes.  The result stores no explicit zeros.  A value
-    grid's expectation is therefore ``transition_matrix(...) @ values``.
+    Rows are taken in chunks and each chunk in blocks (``_row_layout``).  A
+    chunk forms its beliefs' products with the class tensors, of about
+    ``_BLOCK_CELLS`` cells, and from them both kinds of mass: each
+    multi-state atom's observation weights against the products, and each
+    single-state atom's kept masses against the class weights.  Every
+    product gives each row exactly what that row alone would
+    (``_row_products``).  A block forms, locates and weights its
+    posteriors, within about ``_BLOCK_CELLS`` cells, and adds every atom's
+    entries in place into one dense (block rows x grid points) buffer of
+    about as many, whose nonzero cells become that block's CSR rows.  No
+    step runs over all rows at once, so besides its output a call holds a
+    few such buffers whatever the number of beliefs and time classes, and
+    every cell receives the same terms in the same order whatever the chunk
+    and block sizes: the matrix is bitwise independent of them.  The result
+    stores no explicit zeros.  A value grid's expectation is therefore
+    ``transition_matrix(...) @ values``.
     """
     tb = ctx.tables(control)
     d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else None
     c_w, c_b, cw = _time_classes(tb, d_b)
     d, n_cls = c_w.shape[0], cw.size
-    un_w = (beliefs @ c_w.reshape(d, -1)).reshape(-1, d, n_cls)
-    un_b = un_w if d_b is None else (beliefs @ c_b.reshape(d, -1)).reshape(-1, d, n_cls)
+    c_w, c_b = c_w.reshape(d, -1), c_b.reshape(d, -1)
     n_rows, n_cols = beliefs.shape[0], grid.n_points
     atoms = []
     for wvec in ctx.obs_weights:
         support = np.flatnonzero(wvec)
-        if support.size == 1:
-            u = support[0]
-            keep = wvec[u] * un_b[:, u] > _DENOM_FLOOR
-            wx = wvec[u] * un_w[:, u]
-            keep &= wx > 0.0
-            wx[~keep] = 0.0  # in place: np.where(keep, wx, 0.0) without another copy
-            psel = np.flatnonzero(keep.any(axis=1))
-            mass = (psel, wx[psel] @ cw)
-        else:
-            mass = np.einsum("u,puc->pc", wvec, un_w)
-        atoms.append((wvec, support, *grid.face(support), mass))
-    step = max(1, _BLOCK_CELLS // n_cols)
+        face, to_grid = grid.face(support)
+        vertex = face.barycentric_batch(np.ones((1, 1))) if support.size == 1 else None
+        atoms.append((wvec, support, face, to_grid, vertex))
+    products = 1 if d_b is None else 2
+    step, chunk = _row_layout(n_cols, products * d * n_cls, 4 * d * n_cls)
     dense = np.empty(min(step, n_rows) * n_cols)
     # CSR parts, each list led by an empty part (a zero for the row pointer)
-    data, cols, counts = [np.zeros(0)], [np.zeros(0, np.int64)], [np.zeros(1, np.int64)]
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        block = dense[:(hi - lo) * n_cols]
-        block.fill(0.0)
-        for wvec, support, face, to_grid, mass in atoms:
+    data, cols, counts = [np.zeros(0)], [np.zeros(0, np.int32)], [np.zeros(1, np.int64)]
+    for c_lo in range(0, n_rows, chunk):
+        rho = beliefs[c_lo:c_lo + chunk]
+        un_w = _row_products(rho, c_w).reshape(-1, d, n_cls)
+        un_b = un_w if d_b is None else _row_products(rho, c_b).reshape(-1, d, n_cls)
+        masses = []
+        for wvec, support, *_ in atoms:
             if support.size == 1:
-                psel, pw = mass
-                a, b = np.searchsorted(psel, (lo, hi))
-                rows, pw = psel[a:b] - lo, pw[a:b]
-                posts = np.ones((1, 1))
+                u = support[0]
+                keep = wvec[u] * un_b[:, u] > _DENOM_FLOOR
+                wx = wvec[u] * un_w[:, u]
+                keep &= wx > 0.0
+                wx[~keep] = 0.0  # in place: np.where(keep, wx, 0.0) without another copy
+                psel = np.flatnonzero(keep.any(axis=1))
+                masses.append((psel, _row_products(wx[psel], cw[:, None])[:, 0]))
             else:
-                wx = mass[lo:hi]
-                numer = wvec[None, support, None] * un_b[lo:hi, support]
-                denom = numer.sum(axis=1)
-                rows, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
-                pw = cw[csel] * wx[rows, csel]
-                posts = numer[rows, :, csel] / denom[rows, csel][:, None]
-            if rows.size == 0:
-                continue
-            idx, bw = face.barycentric_batch(posts)
-            # flat: numpy's fast ufunc.at path takes a 1-d index (2-d ran about 6x slower)
-            np.add.at(block, (rows[:, None] * n_cols + to_grid[idx]).ravel(),
-                      (pw[:, None] * bw).ravel())
-        nz = np.flatnonzero(block != 0.0)  # a bool scan: ~6x faster than one of the floats
-        data.append(block[nz])
-        cols.append(nz % n_cols)
-        counts.append(np.bincount(nz // n_cols, minlength=hi - lo))
-    del un_w, un_b, atoms  # the products are spent: free them before the rows are joined
+                masses.append(np.einsum("u,puc->pc", wvec, un_w))
+        for lo in range(0, rho.shape[0], step):
+            hi = min(lo + step, rho.shape[0])
+            block = dense[:(hi - lo) * n_cols]
+            block.fill(0.0)
+            for (wvec, support, face, to_grid, vertex), mass in zip(atoms, masses):
+                if vertex is not None:
+                    psel, pw = mass
+                    a, b = np.searchsorted(psel, (lo, hi))
+                    rows, pw = psel[a:b] - lo, pw[a:b]
+                else:
+                    wx = mass[lo:hi]
+                    numer = wvec[None, support, None] * un_b[lo:hi, support]
+                    denom = numer.sum(axis=1)
+                    rows, csel = np.nonzero((wx > 0.0) & (denom > _DENOM_FLOOR))
+                    pw = cw[csel] * wx[rows, csel]
+                    posts = numer[rows, :, csel] / denom[rows, csel][:, None]
+                if rows.size == 0:
+                    continue
+                idx, bw = vertex if vertex is not None else face.barycentric_batch(posts)
+                # flat: numpy's fast ufunc.at path takes a 1-d index (2-d ran about 6x slower)
+                np.add.at(block, (rows[:, None] * n_cols + to_grid[idx]).ravel(),
+                          (pw[:, None] * bw).ravel())
+            nz = np.flatnonzero(block != 0.0)  # a bool scan: ~6x faster than one of the floats
+            data.append(block[nz])
+            cols.append((nz % n_cols).astype(np.int32))  # the grid guard keeps n_cols < 2**31
+            counts.append(np.bincount(nz // n_cols, minlength=hi - lo))
+    dense = block = un_w = un_b = masses = None  # spent: free them before the rows are joined
+    data = np.concatenate(data)  # one statement each: a list of parts is freed once joined
+    cols = np.concatenate(cols)
     indptr = np.cumsum(np.concatenate(counts))
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
-                         shape=(n_rows, n_cols))
+    return sp.csr_matrix((data, cols, indptr), shape=(n_rows, n_cols))
 
 
 def expected_next_value(model: PopdmpModel, v: ValueGrid, rho, control: RelaxedControl,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,8 @@ import popdmp as P
 import popdmp.mdp as mdp_module
 import popdmp.solver as solver_module
 from popdmp.filtering import _DENOM_FLOOR
-from popdmp.mdp import (_TIE_RTOL, _smooth_tensor, _tie_stable_min, _time_classes,
-                        transition_matrix)
+from popdmp.mdp import (_BLOCK_CELLS, _TIE_RTOL, _row_layout, _row_products, _smooth_tensor,
+                        _tie_stable_min, _time_classes, transition_matrix)
 
 
 def test_stage_quadrature_tail_bound(steering):
@@ -569,13 +570,15 @@ def test_controlled_hazard_requires_a_kernel():
 def full_locator_transition_matrix(ctx, control, kernel, grid, beliefs):
     """``transition_matrix`` as it was before posteriors were located on
     their faces: every multi-state atom forms its posteriors over all d
-    states and locates them with the full grid's locator."""
+    states and locates them with the full grid's locator, in one block of
+    all rows.  Its products follow the kernel's per-row rule
+    (``_row_products``), so the two agree bit for bit."""
     tb = ctx.tables(control)
     d_b = ctx.smoothed_dmat(control, kernel) if kernel is not None else None
     c_w, c_b, cw = _time_classes(tb, d_b)
     d, n_cls = c_w.shape[0], cw.size
-    un_w = (beliefs @ c_w.reshape(d, -1)).reshape(-1, d, n_cls)
-    un_b = un_w if d_b is None else (beliefs @ c_b.reshape(d, -1)).reshape(-1, d, n_cls)
+    un_w = _row_products(beliefs, c_w.reshape(d, -1)).reshape(-1, d, n_cls)
+    un_b = un_w if d_b is None else _row_products(beliefs, c_b.reshape(d, -1)).reshape(-1, d, n_cls)
     n_rows, n_cols = beliefs.shape[0], grid.n_points
     dense = np.zeros(n_rows * n_cols)
     for wvec in ctx.obs_weights:
@@ -585,7 +588,7 @@ def full_locator_transition_matrix(ctx, control, kernel, grid, beliefs):
             wx = wvec[u] * un_w[:, u]
             keep = (wx > 0.0) & (wvec[u] * un_b[:, u] > _DENOM_FLOOR)
             psel = np.flatnonzero(keep.any(axis=1))
-            pw = np.where(keep[psel], wx[psel], 0.0) @ cw
+            pw = _row_products(np.where(keep[psel], wx[psel], 0.0), cw[:, None])[:, 0]
             posts = np.eye(1, wvec.size, u)
         else:
             wx = np.einsum("u,puc->pc", wvec, un_w)
@@ -660,15 +663,17 @@ def test_face_kernel_matches_the_full_locator_bit_for_bit(case, steering, monkey
 
 
 class _CountingNumpy:
-    """numpy, with ``np.add.at`` appending the entries it adds to the last
-    record of ``records``."""
+    """numpy, with ``np.add.at`` noting the entries it adds in the last
+    record of ``records`` unless that has them already: each location is
+    followed by the add of its posteriors, while a single-state atom, whose
+    vertex is located once per build, adds after other atoms' locations."""
 
     def __init__(self, records):
         self.add = SimpleNamespace(at=self._at)
         self._records = records
 
     def _at(self, a, indices, values):
-        self._records[-1]["entries"] = np.size(indices)
+        self._records[-1].setdefault("entries", np.size(indices))
         np.add.at(a, indices, values)
 
     def __getattr__(self, name):
@@ -704,24 +709,127 @@ def test_two_state_posteriors_add_a_third_fewer_entries(steering, ctx, monkeypat
 # row blocks
 
 
+def assert_rows_alone(rows, mat):
+    """``_row_products(rows, mat)`` is, row by row, ``rows[p] @ mat``
+    computed for that row alone, bit for bit."""
+    got = _row_products(rows, mat)
+    ref = np.array([row @ mat for row in rows])
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["steering-k40", "four-state-k8"])
+def test_row_products_are_each_row_alone_bit_for_bit(case, steering):
+    # the grid's points against every candidate's class tensors, plain and
+    # regularized, and one state's masses against the class weights: the
+    # three products of the kernel
+    if case == "steering-k40":
+        model, k, family = steering, 40, bang5()
+    else:
+        model, k, family = four_state_model(), 8, P.switching_family(taus=[0.5])
+    grid = P.build_simplex_grid(model.n_states, k)
+    ctx = P.StageContext(model)
+    for control in family:
+        for kernel in (None, P.RegularizationKernel("gaussian", 0.1)):
+            d_b = None if kernel is None else ctx.smoothed_dmat(control, kernel)
+            c_w, c_b, cw = _time_classes(ctx.tables(control), d_b)
+            d = c_w.shape[0]
+            assert_rows_alone(grid.points, c_w.reshape(d, -1))
+            assert_rows_alone(grid.points, c_b.reshape(d, -1))
+            masses = _row_products(grid.points, c_w.reshape(d, -1)).reshape(-1, d, cw.size)[:, 0]
+            assert_rows_alone(masses, cw[:, None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 40), st.integers(1, 600), st.integers(0, 2**32 - 1))
+def test_row_products_of_any_shape_are_each_row_alone(d, n_rows, n_cols, seed):
+    # beliefs against a tensor of mixed magnitudes, and masses against one
+    # column, for all rows and for the first row alone
+    gen = np.random.default_rng(seed)
+    beliefs = gen.dirichlet(np.ones(d), n_rows)
+    mat = gen.random((d, n_cols)) * 10.0 ** gen.integers(-3, 4, (d, n_cols))
+    masses, weights = gen.random((n_rows, n_cols)), gen.random((n_cols, 1))
+    for rows in (n_rows, 1):
+        assert_rows_alone(beliefs[:rows], mat)
+        assert_rows_alone(masses[:rows], weights)
+
+
 @pytest.mark.parametrize("case", ["steering", "steering-0.2", "four-state"])
 def test_row_blocks_match_the_single_block_build(case, steering, monkeypatch):
-    # blocks of 1 and 7 rows against one block of all rows, bit for bit, and
-    # the blocked build against the per-node reference; the four-state
-    # model's atoms span faces of 1, 2 and 3 states
+    # blocks and chunks of 1 row and of 7 rows, chunks of four blocks (7, 7,
+    # 7 and 3 rows) and one block of all rows, bit for bit, and the blocked
+    # build against the per-node reference; the four-state model's atoms
+    # span faces of 1, 2 and 3 states
     model = four_state_model() if case == "four-state" else steering
     kernel = P.RegularizationKernel("gaussian", 0.2) if case == "steering-0.2" else None
     grid = P.build_simplex_grid(model.n_states, 6 if case == "four-state" else 12)
     ctx = P.StageContext(model)
-    n_rows, n_cols = grid.n_points, grid.n_points
-    built = {}
-    for rows in (1, 7, n_rows):
-        monkeypatch.setattr(mdp_module, "_BLOCK_CELLS", rows * n_cols)
-        for control in bang5() if model is steering else P.switching_family(taus=[0.5]):
+    n_rows = grid.n_points  # 91 or 84: the chunks of 24 rows end in a short block
+    layouts = [(1, 1), (7, 7), (7, 24), (n_rows, n_rows)]  # (block rows, chunk rows)
+    family = bang5() if model is steering else P.switching_family(taus=[0.5])
+    built, used = {}, []
+    for layout in layouts:
+        monkeypatch.setattr(mdp_module, "_row_layout",
+                            lambda *sizes, layout=layout: used.append(layout) or layout)
+        for control in family:
             built.setdefault(control, []).append(
                 transition_matrix(ctx, control, kernel, grid, grid.points))
-    for control, (one, seven, whole) in built.items():
+    assert used == [layout for layout in layouts for _ in family]
+    for control, (one, seven, chunked, whole) in built.items():
         assert_same_matrix(one, whole)
         assert_same_matrix(seven, whole)
+        assert_same_matrix(chunked, whole)
         ref = reference_transition_matrix(ctx, control, kernel, grid, grid.points)
         assert abs(one - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_cols,chunk_cells,block_cells", [
+    (861, 3 * 154, 12 * 154),       # steering K=40, a +-1 constant
+    (136, 6 * 503, 12 * 503),       # steering K=15, sigma 0.2: two products
+    (13041, 3 * 154, 12 * 154),     # steering K=160: blocks of 10 rows
+    (2**18, 2**18, 2**18),          # wider than a buffer: one row each
+])
+def test_row_layout_fills_each_buffer_with_whole_rows(n_cols, chunk_cells, block_cells):
+    # a block takes the most rows whose dense buffer and posterior work fit
+    # in _BLOCK_CELLS each, a chunk the most whole blocks whose products do;
+    # each takes one at least
+    block, chunk = _row_layout(n_cols, chunk_cells, block_cells)
+    widest = max(n_cols, block_cells)
+    assert block == max(1, _BLOCK_CELLS // widest)
+    assert chunk % block == 0
+    assert chunk == block or chunk * chunk_cells <= _BLOCK_CELLS < (chunk + block) * chunk_cells
+
+
+def build_peaks(ctx, control, kernel, grid):
+    """Tracemalloc peak, in MiB, of one ``transition_matrix`` call over the
+    grid's points, and the part of it above the matrix the call returns.
+    The stage tables and the grid's faces are built beforehand."""
+    transition_matrix(ctx, control, kernel, grid, grid.points)
+    tracemalloc.start()
+    try:
+        out = transition_matrix(ctx, control, kernel, grid, grid.points)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (grid.n_points, grid.n_points)
+    return peak / 2**20, (peak - held) / 2**20
+
+
+@pytest.mark.parametrize("k,sigma", [(40, None), (15, 0.2)])
+def test_a_build_holds_a_few_buffers_whatever_its_time_classes(k, sigma, steering):
+    # the +1 constant has the most time classes (154 plain, 503 at sigma
+    # 0.2); products over all rows at once peaked at 10.1 and 14.5 MiB
+    kernel = None if sigma is None else P.RegularizationKernel("gaussian", sigma)
+    peak, _ = build_peaks(P.StageContext(steering), P.RelaxedControl.constant(1.0), kernel,
+                          P.build_simplex_grid(3, k))
+    assert peak <= 5.0
+
+
+def test_a_build_working_set_does_not_grow_with_the_grid(steering):
+    # K=80 has 3.9 times the rows of K=40 and 7.5 times the stored entries;
+    # beyond the matrix it returns, a build holds its chunk, block and
+    # buffer, and the parts of the matrix while they are joined
+    ctx, plus = P.StageContext(steering), P.RelaxedControl.constant(1.0)
+    _, k40 = build_peaks(ctx, plus, None, P.build_simplex_grid(3, 40))
+    _, k80 = build_peaks(ctx, plus, None, P.build_simplex_grid(3, 80))
+    assert k80 <= 1.25 * k40
